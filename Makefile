@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-centrality bench-tasks bench-shedding bench-ingest bench-bfs bench-gate obsreport experiments claims profile fmt vet clean
+.PHONY: all build test race bench obsreport experiments claims profile fmt vet clean
 
 all: build test
 
@@ -17,73 +17,16 @@ race:
 		./internal/centrality/ ./internal/uds/ ./internal/stream/ \
 		./internal/core/ ./internal/matching/ ./internal/obs/ ./internal/msbfs/
 
+# Run the pipeline benchmark (bench/, described by BENCHMARK.json): shed
+# and evaluate generated graphs end to end, every workload in turn. For
+# one workload: bash bench/run.sh --workload suite-grqc
 bench:
-	$(GO) test -bench=. -benchmem ./... 2>&1 | tee bench_output.txt
-
-# Refresh the betweenness perf baseline: map-indexed (oracle) vs CSR-indexed
-# Brandes micro-benchmarks, plus the preserved per-source edge scorer vs the
-# batched MS-BFS edge-dependency fold (this pair is CRR Phase 1 before and
-# after batching), recorded as JSON so PRs can diff the trajectory.
-bench-centrality:
-	$(GO) test -run xxx -bench 'Betweenness(Map|CSR)Indexed|EdgeBetweennessScores(PerSource|MSBFS)$$' -benchtime 3x -benchmem ./internal/centrality/ \
-		| $(GO) run ./cmd/benchjson -out BENCH_betweenness.json
-	cat BENCH_betweenness.json
-
-# Refresh the analysis-task perf baseline: seed serial kernels vs the
-# parallel CSR kernels at 4 workers (distance profile and clustering),
-# recorded as JSON. -benchtime 5x keeps the derived speedups stable.
-bench-tasks:
-	$(GO) test -run xxx -bench '(DistanceProfile|Clustering)(Serial|Parallel)' -benchtime 5x -benchmem ./internal/analysis/ \
-		| $(GO) run ./cmd/benchjson -out BENCH_tasks.json
-	cat BENCH_tasks.json
-
-# Refresh the shedding-core perf baseline: map-indexed (seed-era oracle)
-# reducers vs the edge-id-native CSR implementations, the serial vs
-# parallel CRR sweep, and the end-to-end exact-betweenness CRR reduction
-# with Phase 1 per-source vs batched MS-BFS, recorded as JSON.
-# -benchtime 10x keeps the derived speedups stable.
-bench-shedding:
-	$(GO) test -run xxx -bench '(CRRReduce|BM2Reduce|GreedyBMatching|ShedderInsert)(Map|CSR)Indexed|CRRSweep(Serial|Parallel)|CRRReduceExact(PerSource|MSBFS)$$' -benchtime 10x -benchmem \
-		./internal/core/ ./internal/matching/ ./internal/stream/ \
-		| $(GO) run ./cmd/benchjson -out BENCH_shedding.json
-	cat BENCH_shedding.json
-
-# Refresh the ingestion perf baseline: parsing the text edge list from
-# scratch vs mmap-loading the packed-CSR (.esc) file, plus the out-of-core
-# external-sort packer, recorded as JSON. The derived Ingest speedup is the
-# parse-once-load-forever payoff of the packed format.
-bench-ingest:
-	$(GO) test -run xxx -bench 'Ingest(TextLoad|PackedLoad|ExtsortPack)' -benchtime 5x -benchmem ./internal/graph/ \
-		| $(GO) run ./cmd/benchjson -out BENCH_ingest.json
-	cat BENCH_ingest.json
-
-# Refresh the BFS-kernel perf baseline: the replaced one-BFS-per-source
-# kernels vs the bit-parallel MS-BFS engine (closeness, distance profile,
-# node betweenness), single worker so the derived PerSource/MSBFS speedups
-# measure the batching alone. Recorded as JSON; gate with bench-gate.
-bench-bfs:
-	$(GO) test -run xxx -bench '(Closeness|NodeBetweenness|DistanceProfile)(PerSource|MSBFS)$$' -benchtime 5x -benchmem \
-		./internal/centrality/ ./internal/analysis/ \
-		| $(GO) run ./cmd/benchjson -out BENCH_bfs.json
-	cat BENCH_bfs.json
-
-# Gate a fresh benchmark run against a baseline with cmd/obsdiff: exits
-# non-zero when any ns/op or allocs/op regressed beyond MAX_REGRESS, and
-# refuses cross-machine comparisons (baselines embed the measuring
-# machine's identity). Works on run manifests too.
-#
-#	make bench-shedding && cp BENCH_shedding.json base.json
-#	... hack ...
-#	make bench-shedding && make bench-gate BASE=base.json CUR=BENCH_shedding.json
-BASE ?= BENCH_shedding.json
-CUR ?= BENCH_shedding.json
-MAX_REGRESS ?= 25%
-bench-gate:
-	$(GO) run ./cmd/obsdiff -max-regress $(MAX_REGRESS) $(BASE) $(CUR)
+	bash bench/run.sh
 
 # Render the cross-run quality trend report over a directory of run
-# manifests (-metrics output) and BENCH_*.json baselines. Add
-# OBSREPORT_FLAGS="-gate -max-regress 10%" to fail on quality regressions.
+# manifests (-metrics output). Add OBSREPORT_FLAGS="-max-regress 10%" to
+# fail on quality regressions; `go run ./cmd/obsreport diff a.json b.json`
+# compares two runs.
 #
 #	make obsreport RUNS=results/quality
 RUNS ?= results
@@ -118,4 +61,4 @@ vet:
 	$(GO) vet ./...
 
 clean:
-	rm -f test_output.txt bench_output.txt
+	rm -rf .bench_build test_output.txt bench_output.txt

@@ -26,7 +26,7 @@ import (
 
 func main() {
 	var (
-		in       = flag.String("in", "", "input graph file: edge list, .esg binary, or .esc packed CSR (required)")
+		in       = flag.String("in", "", "input graph file: edge list, or .esc packed CSR (required)")
 		taskList = flag.String("tasks", "degree,sp,cc,topk,components", "comma-separated: degree, sp, hopplot, cc, topk, components, betweenness, closeness, structure")
 		topPct   = flag.Float64("top", 10, "top-t%% for the topk task")
 		sources  = flag.Int("sources", 0, "BFS/betweenness/closeness source samples (0 = exact)")

@@ -53,16 +53,16 @@ func TestRunErrors(t *testing.T) {
 }
 
 func TestRunBinaryInput(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "g.esg")
+	path := filepath.Join(t.TempDir(), "g.esc")
 	if err := graph.SaveFile(path, gen.BarabasiAlbert(50, 2, 8), nil); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
 	if err := run(&buf, path, "degree,components", 10, 0, 1, 0, 0, nil); err != nil {
-		t.Fatalf("binary input: %v", err)
+		t.Fatalf("packed input: %v", err)
 	}
 	if !strings.Contains(buf.String(), "|V|=50") {
-		t.Errorf("binary graph not loaded:\n%s", buf.String())
+		t.Errorf("packed graph not loaded:\n%s", buf.String())
 	}
 }
 

@@ -28,7 +28,7 @@ func main() {
 		prob  = flag.Float64("prob", 0.3, "model probability (hk triad closure, ws rewire, sbm p_in)")
 		k     = flag.Int("k", 4, "communities (sbm)")
 		seed  = flag.Int64("seed", 1, "random seed")
-		out   = flag.String("out", "", "output file; extension picks the format (.esc packed, .esg binary, else edge list; default: stdout text)")
+		out   = flag.String("out", "", "output file; extension picks the format (.esc packed, else edge list; default: stdout text)")
 	)
 	cli := obs.BindFlags(flag.CommandLine)
 	flag.Parse()

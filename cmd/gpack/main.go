@@ -1,12 +1,12 @@
-// Command gpack converts graphs into the mmap-able ESC1 packed-CSR format
-// (and between the repo's other formats), so SNAP-scale edge lists parse
-// once and load in milliseconds ever after.
+// Command gpack converts text edge lists into the mmap-able ESC1 packed-CSR
+// format (or repacks .esc files), so SNAP-scale edge lists parse once and
+// load in milliseconds ever after.
 //
 // Usage:
 //
 //	gpack -in com-lj.txt -out com-lj.esc
 //	gpack -in com-lj.txt -out com-lj.esc -mem 256MiB   # out-of-core
-//	gpack -in graph.esg -out graph.esc -order degree
+//	gpack -in com-lj.esc -out com-lj-deg.esc -order degree
 //
 // Without -mem the input graph is loaded in RAM and packed with
 // graph.WritePackedFile. With -mem the edge list is streamed through the
@@ -30,7 +30,7 @@ import (
 
 func main() {
 	var (
-		in      = flag.String("in", "", "input graph: edge list, .esg binary, or .esc packed (required)")
+		in      = flag.String("in", "", "input graph: edge list, or .esc packed (required)")
 		out     = flag.String("out", "", "output .esc file (required)")
 		order   = flag.String("order", "keep", "dense-id order: keep (ids bit-identical to the text loader's) or degree (degree-descending relabel for locality)")
 		mem     = flag.String("mem", "", "external-sort memory budget, e.g. 256MiB (suffixes K/M/G, binary); empty packs in RAM. Out-of-core packing reads text edge lists and implies -order keep")
@@ -80,7 +80,7 @@ func run(in, out, order, mem, tmp string, workers int, verify bool, sess *obs.Se
 		if ord != graph.OrderKeep {
 			return fmt.Errorf("-mem (out-of-core) supports -order keep only: degree relabeling needs the whole graph in RAM")
 		}
-		if strings.HasSuffix(in, ".esc") || strings.HasSuffix(in, ".esg") {
+		if strings.HasSuffix(in, ".esc") {
 			return fmt.Errorf("-mem (out-of-core) reads text edge lists; %q is already a parsed format", in)
 		}
 		stats, err := graph.PackEdgeListFile(in, out, graph.PackOptions{

@@ -1,32 +1,41 @@
-// Command obsreport aggregates observability artifacts from many runs —
-// run manifests (-metrics output) and BENCH_*.json benchmark baselines
-// (cmd/benchjson output) — into one cross-run trend report: the registry
-// view of how algorithm quality and performance move over time.
+// Command obsreport reads run manifests (-metrics output) in two modes: a
+// cross-run trend report over many runs — the registry view of how
+// algorithm quality and performance move over time — and a diff of two
+// runs, reporting what moved between them.
 //
 //	obsreport results/
-//	obsreport -json trend.json results/ BENCH_shedding.json
-//	obsreport -gate -max-regress 10% results/
+//	obsreport -json trend.json -max-regress 10% results/
+//	obsreport diff run_before.json run_after.json
+//	obsreport diff -max-regress 25% run_before.json run_after.json
 //
-// Arguments are files or directories; a directory contributes every *.json
-// file directly inside it. Files that are neither a manifest nor a
-// benchmark baseline are skipped with a note, so a results directory can
-// hold other artifacts. Manifests are grouped by command plus machine
-// identity (Go version, GOOS/GOARCH, CPU count — see internal/obs.Env) so
-// numbers from different machines never land in one trend line, ordered by
-// start time within each group, and rendered as one markdown table per
-// group: one row per (quality metric, preservation ratio) series from each
-// manifest's quality_timeline, one column per run. Benchmark baselines get
-// the same treatment keyed by benchmark name (ns/op, report-only). Runs
-// whose git_commit carries the "-dirty" suffix are flagged: the commit does
-// not identify the measured code.
+// In both modes -max-regress (a percentage like "25%" or a fraction like
+// "0.25") turns the report into a regression gate: any gated metric worse
+// than its reference by more than the threshold makes obsreport exit 1, so
+// CI can fail the build. Without it, obsreport only reports. Exit codes: 0
+// no breach, 1 threshold breached, 2 unusable input.
 //
-// With -gate, obsreport becomes a quality regression gate: for every
-// directional series ("better": "lower" or "higher" — tasks.Suite scores,
-// theorem-bound headroom, Δ trajectories) with at least two runs, the
-// latest value is compared against the previous one, and any move in the
-// bad direction by more than -max-regress makes obsreport exit 1. "info"
-// series (edge counts, bounds) trend but never gate. Exit codes: 0 no
-// breach, 1 threshold breached, 2 unusable input.
+// Trend mode (the default). Arguments are files or directories; a directory
+// contributes every *.json file directly inside it. JSON files that are not
+// run manifests are skipped with a note, so a results directory can hold
+// other artifacts. Manifests are grouped by command plus machine identity
+// (Go version, GOOS/GOARCH, CPU count — see internal/obs.Env) so numbers
+// from different machines never land in one trend line, ordered by start
+// time within each group, and rendered as one markdown table per group: one
+// row per (quality metric, preservation ratio) series from each manifest's
+// quality_timeline, one column per run. Runs whose git_commit carries the
+// "-dirty" suffix are flagged: the commit does not identify the measured
+// code. The gate compares, for every directional series ("better": "lower"
+// or "higher" — tasks.Suite scores, theorem-bound headroom, Δ trajectories)
+// with at least two runs, the latest value against the previous one; "info"
+// series (edge counts, bounds) trend but never gate.
+//
+// Diff mode compares a baseline manifest with a current one: counter and
+// gauge deltas (report-only), histogram p50/p99 shifts and per-span
+// wall-time ratios (gated above per-unit noise floors). Manifests carry the
+// measuring machine's identity; diff refuses to compare runs from different
+// machines, because a hardware delta masquerades as a perf delta.
+// -allow-env-mismatch downgrades that refusal to a warning for the rare
+// deliberate cross-machine look.
 package main
 
 import (
@@ -41,26 +50,31 @@ import (
 	"strconv"
 	"strings"
 
-	"edgeshed/internal/benchfmt"
 	"edgeshed/internal/obs"
 )
 
 func main() {
 	var opt reportOpts
-	flag.BoolVar(&opt.gate, "gate", false, "fail (exit 1) when a directional quality series regresses beyond -max-regress")
-	flag.StringVar(&opt.maxRegress, "max-regress", "10%", "gate threshold, e.g. 10% or 0.1 (used with -gate)")
-	flag.StringVar(&opt.jsonPath, "json", "", "also write the report machine-readable to this file")
+	flag.StringVar(&opt.maxRegress, "max-regress", "", "gate threshold, e.g. 10% or 0.1: exit 1 when a gated metric regresses beyond it (empty = report only)")
+	flag.BoolVar(&opt.allowEnv, "allow-env-mismatch", false, "diff: compare manifests from different machines anyway (warning instead of refusal)")
+	flag.StringVar(&opt.jsonPath, "json", "", "trend: also write the report machine-readable to this file")
 	cli := obs.BindFlags(flag.CommandLine)
 	flag.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: obsreport [flags] file-or-dir [file-or-dir...]")
+		fmt.Fprintln(os.Stderr, "       obsreport diff [flags] baseline.json current.json")
 		flag.PrintDefaults()
 	}
-	flag.Parse()
-	if flag.NArg() == 0 {
+	args := os.Args[1:]
+	diffMode := len(args) > 0 && args[0] == "diff"
+	if diffMode {
+		args = args[1:]
+	}
+	flag.CommandLine.Parse(args)
+	opt.args = flag.Args()
+	if (diffMode && len(opt.args) != 2) || len(opt.args) == 0 {
 		flag.Usage()
 		os.Exit(2)
 	}
-	opt.args = flag.Args()
 	sess, err := cli.Start("obsreport")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "obsreport:", err)
@@ -69,7 +83,11 @@ func main() {
 	var code int
 	runErr := obs.Run(sess, func() error {
 		var rerr error
-		code, rerr = run(os.Stdout, opt, sess)
+		if diffMode {
+			code, rerr = diff(os.Stdout, opt.args[0], opt.args[1], opt.maxRegress, opt.allowEnv, sess)
+		} else {
+			code, rerr = trend(os.Stdout, opt, sess)
+		}
 		return rerr
 	})
 	if cerr := sess.Close(); runErr == nil && cerr != nil {
@@ -82,10 +100,10 @@ func main() {
 	os.Exit(code)
 }
 
-// reportOpts carries the command's flag values into run.
+// reportOpts carries the command's flag values into trend and diff.
 type reportOpts struct {
-	gate       bool
 	maxRegress string
+	allowEnv   bool
 	jsonPath   string
 	args       []string
 }
@@ -95,9 +113,7 @@ type reportOpts struct {
 type report struct {
 	// Groups holds one manifest trend group per (command, machine) pair.
 	Groups []*runGroup `json:"groups,omitempty"`
-	// BenchGroups holds one benchmark trend group per machine.
-	BenchGroups []*benchGroup `json:"bench_groups,omitempty"`
-	// Breaches lists the gate violations found (empty without -gate).
+	// Breaches lists the gate violations found (empty without -max-regress).
 	Breaches []string `json:"breaches,omitempty"`
 }
 
@@ -139,20 +155,9 @@ type series struct {
 	Values []*float64 `json:"values"`
 }
 
-// benchGroup is the ns/op trend of the benchmark baselines measured on one
-// machine, report-only.
-type benchGroup struct {
-	// Env is the shared machine identity.
-	Env *obs.Env `json:"env"`
-	// Files are the baseline paths in input order.
-	Files []runInfo `json:"files"`
-	// Series holds one ns/op trend line per benchmark name.
-	Series []*series `json:"series,omitempty"`
-}
-
-// run builds and renders the trend report and returns the process exit
+// trend builds and renders the trend report and returns the process exit
 // code (0 ok, 1 gate breach). Errors mean the inputs were unusable (exit 2).
-func run(w io.Writer, opt reportOpts, sess *obs.Session) (int, error) {
+func trend(w io.Writer, opt reportOpts, sess *obs.Session) (int, error) {
 	gate, err := parseMaxRegress(opt.maxRegress)
 	if err != nil {
 		return 0, err
@@ -163,41 +168,26 @@ func run(w io.Writer, opt reportOpts, sess *obs.Session) (int, error) {
 	}
 	var manifests []*obs.Manifest
 	var manifestPaths []string
-	var benches []*benchfmt.Report
-	var benchPaths []string
 	for _, path := range files {
-		switch kind := sniffKind(path); kind {
-		case kindManifest:
-			m, err := obs.ReadManifest(path)
-			if err != nil {
-				return 0, err
-			}
-			manifests = append(manifests, m)
-			manifestPaths = append(manifestPaths, path)
-		case kindBench:
-			b, err := benchfmt.ReadFile(path)
-			if err != nil {
-				return 0, err
-			}
-			benches = append(benches, b)
-			benchPaths = append(benchPaths, path)
-		default:
-			sess.Verbosef("skipping %s: neither a run manifest nor a benchmark baseline", path)
+		if !hasCommand(path) {
+			sess.Verbosef("skipping %s: not a run manifest", path)
+			continue
 		}
+		m, err := obs.ReadManifest(path)
+		if err != nil {
+			return 0, err
+		}
+		manifests = append(manifests, m)
+		manifestPaths = append(manifestPaths, path)
 	}
-	if len(manifests) == 0 && len(benches) == 0 {
-		return 0, fmt.Errorf("no run manifests or benchmark baselines among %d file(s)", len(files))
+	if len(manifests) == 0 {
+		return 0, fmt.Errorf("no run manifests among %d file(s)", len(files))
 	}
-	sess.Verbosef("aggregating %d manifest(s), %d baseline(s)", len(manifests), len(benchPaths))
+	sess.Verbosef("aggregating %d manifest(s)", len(manifests))
 
-	rep := &report{
-		Groups:      groupManifests(manifests, manifestPaths),
-		BenchGroups: groupBenches(benches, benchPaths),
-	}
+	rep := &report{Groups: groupManifests(manifests, manifestPaths)}
 	renderMarkdown(w, rep)
-	if opt.gate {
-		rep.Breaches = gateSeries(rep.Groups, gate)
-	}
+	rep.Breaches = gateSeries(rep.Groups, gate)
 	if opt.jsonPath != "" {
 		data, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {
@@ -207,17 +197,25 @@ func run(w io.Writer, opt reportOpts, sess *obs.Session) (int, error) {
 			return 0, err
 		}
 	}
-	if len(rep.Breaches) > 0 {
-		fmt.Fprintf(w, "\nBREACH: %d quality series regressed beyond %s:\n", len(rep.Breaches), opt.maxRegress)
-		for _, b := range rep.Breaches {
+	return reportBreaches(w, rep.Breaches, gate, "quality series", "directional quality series", opt.maxRegress), nil
+}
+
+// reportBreaches prints the gate verdict and returns the exit code: 1 with
+// the breach list when anything regressed beyond limit, else 0, with an ok
+// line when a gate was set (gate >= 0). breached and checked name what was
+// gated in the two verdict lines.
+func reportBreaches(w io.Writer, breaches []string, gate float64, breached, checked, limit string) int {
+	if len(breaches) > 0 {
+		fmt.Fprintf(w, "\nBREACH: %d %s regressed beyond %s:\n", len(breaches), breached, limit)
+		for _, b := range breaches {
 			fmt.Fprintf(w, "  %s\n", b)
 		}
-		return 1, nil
+		return 1
 	}
-	if opt.gate {
-		fmt.Fprintf(w, "\nok: no directional quality series regressed beyond %s\n", opt.maxRegress)
+	if gate >= 0 {
+		fmt.Fprintf(w, "\nok: no %s regressed beyond %s\n", checked, limit)
 	}
-	return 0, nil
+	return 0
 }
 
 // collectFiles expands the positional arguments into a sorted list of
@@ -248,46 +246,21 @@ func collectFiles(args []string) ([]string, error) {
 	return files, nil
 }
 
-type fileKind int
-
-const (
-	kindUnknown fileKind = iota
-	kindManifest
-	kindBench
-)
-
-// sniffKind decides what a JSON file is by its top-level keys, without
-// committing to either schema; unreadable or unrecognized files are
-// kindUnknown (skipped, not fatal — directories hold other artifacts too).
-func sniffKind(path string) fileKind {
+// hasCommand reports whether path holds a JSON object with a "command"
+// key, i.e. is meant as a run manifest. Unreadable or other files are
+// skipped, not fatal — directories hold other artifacts too; a file that
+// claims to be a manifest but does not parse as one is an error.
+func hasCommand(path string) bool {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return kindUnknown
+		return false
 	}
 	var probe map[string]json.RawMessage
 	if err := json.Unmarshal(data, &probe); err != nil {
-		return kindUnknown
+		return false
 	}
-	if _, ok := probe["benchmarks"]; ok {
-		return kindBench
-	}
-	if _, ok := probe["command"]; ok {
-		return kindManifest
-	}
-	return kindUnknown
-}
-
-// manifestEnv lifts a manifest's identity fields into an Env, the shared
-// grouping and dirtiness vocabulary.
-func manifestEnv(m *obs.Manifest) *obs.Env {
-	return &obs.Env{GoVersion: m.GoVersion, GOOS: m.GOOS, GOARCH: m.GOARCH,
-		CPUs: m.CPUs, GitCommit: m.GitCommit}
-}
-
-// envKey is the machine-identity half of a grouping key. GitCommit is
-// deliberately excluded: commits vary along a trend line, machines must not.
-func envKey(e *obs.Env) string {
-	return fmt.Sprintf("%s|%s|%s|%d", e.GoVersion, e.GOOS, e.GOARCH, e.CPUs)
+	_, ok := probe["command"]
+	return ok
 }
 
 // groupManifests buckets manifests by (command, machine), orders each
@@ -300,7 +273,9 @@ func groupManifests(ms []*obs.Manifest, paths []string) []*runGroup {
 	}
 	buckets := map[string][]entry{}
 	for i, m := range ms {
-		k := m.Command + "|" + envKey(manifestEnv(m))
+		// GitCommit is deliberately not part of the key: commits vary along
+		// a trend line, machines must not.
+		k := fmt.Sprintf("%s|%s|%s|%s|%d", m.Command, m.GoVersion, m.GOOS, m.GOARCH, m.CPUs)
 		buckets[k] = append(buckets[k], entry{m, paths[i]})
 	}
 	var groups []*runGroup
@@ -312,9 +287,9 @@ func groupManifests(ms []*obs.Manifest, paths []string) []*runGroup {
 			}
 			return runs[i].path < runs[j].path
 		})
-		env := manifestEnv(runs[0].m)
-		env.GitCommit = "" // per-run, not group identity
-		g := &runGroup{Command: runs[0].m.Command, Env: env}
+		m := runs[0].m
+		g := &runGroup{Command: m.Command,
+			Env: &obs.Env{GoVersion: m.GoVersion, GOOS: m.GOOS, GOARCH: m.GOARCH, CPUs: m.CPUs}}
 		type seriesKey struct {
 			metric string
 			ratio  float64
@@ -350,57 +325,6 @@ func groupManifests(ms []*obs.Manifest, paths []string) []*runGroup {
 	return groups
 }
 
-// groupBenches buckets benchmark baselines by machine and builds one
-// report-only ns/op series per benchmark name.
-func groupBenches(bs []*benchfmt.Report, paths []string) []*benchGroup {
-	type entry struct {
-		b    *benchfmt.Report
-		path string
-	}
-	buckets := map[string][]entry{}
-	for i, b := range bs {
-		k := ""
-		if b.Env != nil {
-			k = envKey(b.Env)
-		}
-		buckets[k] = append(buckets[k], entry{b, paths[i]})
-	}
-	var groups []*benchGroup
-	for _, k := range sortedKeys(buckets) {
-		files := buckets[k]
-		g := &benchGroup{Env: files[0].b.Env}
-		if g.Env != nil {
-			env := *g.Env
-			env.GitCommit = ""
-			g.Env = &env
-		}
-		byName := map[string]*series{}
-		for _, f := range files {
-			commit := ""
-			if f.b.Env != nil {
-				commit = f.b.Env.GitCommit
-			}
-			g.Files = append(g.Files, runInfo{Path: f.path, GitCommit: commit})
-		}
-		for i, f := range files {
-			for name, b := range f.b.ByName() {
-				s, ok := byName[name]
-				if !ok {
-					s = &series{Metric: name + " ns/op", Better: "info",
-						Values: make([]*float64, len(files))}
-					byName[name] = s
-					g.Series = append(g.Series, s)
-				}
-				v := b.NsPerOp
-				s.Values[i] = &v
-			}
-		}
-		sort.SliceStable(g.Series, func(i, j int) bool { return g.Series[i].Metric < g.Series[j].Metric })
-		groups = append(groups, g)
-	}
-	return groups
-}
-
 // renderMarkdown writes the human half of the report: one section per
 // group, a run legend, dirty-worktree warnings, and the trend table.
 func renderMarkdown(w io.Writer, rep *report) {
@@ -410,15 +334,6 @@ func renderMarkdown(w io.Writer, rep *report) {
 			g.Env.GoVersion, g.Env.GOOS, g.Env.GOARCH, g.Env.CPUs)
 		renderLegend(w, g.Runs)
 		renderSeries(w, g.Series, len(g.Runs))
-	}
-	for _, g := range rep.BenchGroups {
-		if g.Env != nil {
-			fmt.Fprintf(w, "\n## benchmarks — %s %s/%s, %d CPUs\n\n", g.Env.GoVersion, g.Env.GOOS, g.Env.GOARCH, g.Env.CPUs)
-		} else {
-			fmt.Fprintf(w, "\n## benchmarks — environment not recorded\n\n")
-		}
-		renderLegend(w, g.Files)
-		renderSeries(w, g.Series, len(g.Files))
 	}
 }
 
@@ -517,7 +432,8 @@ func gateSeries(groups []*runGroup, gate float64) []string {
 	return breaches
 }
 
-// parseMaxRegress turns "10%" or "0.1" into the fraction 0.1.
+// parseMaxRegress turns "25%" or "0.25" into the fraction 0.25; an empty
+// string disables gating (returned as -1).
 func parseMaxRegress(s string) (float64, error) {
 	if s == "" {
 		return -1, nil

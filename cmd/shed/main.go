@@ -4,8 +4,8 @@
 //
 //	shed -in graph.txt -out reduced.txt -method crr -p 0.5
 //
-// The input is a SNAP-style whitespace edge list ('#' comments allowed), a
-// .esg binary file, or a .esc packed-CSR file (see cmd/gpack) — packed
+// The input is a SNAP-style whitespace edge list ('#' comments allowed) or
+// a .esc packed-CSR file (see cmd/gpack) — packed
 // input mmaps in without per-edge parsing and sheds bit-identically to the
 // text path. The output preserves the original node labels. Reduction statistics (edge
 // counts, Δ, the theorem bound) are printed to stderr, and -stats-json
@@ -50,7 +50,7 @@ type shedOpts struct {
 
 func main() {
 	var opt shedOpts
-	flag.StringVar(&opt.in, "in", "", "input graph file: edge list, .esg binary, or .esc packed CSR (required)")
+	flag.StringVar(&opt.in, "in", "", "input graph file: edge list, or .esc packed CSR (required)")
 	flag.StringVar(&opt.out, "out", "", "output edge-list file (default: stdout); with multiple -p values a .pN.NN suffix is inserted")
 	flag.StringVar(&opt.method, "method", "crr", "reduction method: crr, bm2, random, uds, forestfire, spanningforest, weighted")
 	flag.StringVar(&opt.ps, "p", "0.5", "edge preservation ratio(s) in (0,1), comma-separated; CRR sweeps share one betweenness computation")

@@ -38,10 +38,10 @@ type Remapper = graph.Remapper
 // NewBuilder returns a builder for a graph with n nodes.
 func NewBuilder(n int) *Builder { return graph.NewBuilder(n) }
 
-// LoadFile reads a graph by file extension (text edge list or .esg binary).
+// LoadFile reads a graph by file extension (.esc packed CSR, else text edge list).
 func LoadFile(path string) (*Graph, *Remapper, error) { return graph.LoadFile(path) }
 
-// SaveFile writes a graph by file extension (text, .esg binary, .dot).
+// SaveFile writes a graph by file extension (.esc packed CSR, .dot, else text).
 func SaveFile(path string, g *Graph, rm *Remapper) error { return graph.SaveFile(path, g, rm) }
 
 // ReadEdgeList parses a SNAP-style edge list stream.

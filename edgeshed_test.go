@@ -58,7 +58,7 @@ func TestFacadeIO(t *testing.T) {
 	if g.NumNodes() != 3 || g.NumEdges() != 2 {
 		t.Fatalf("parsed %v", g)
 	}
-	path := t.TempDir() + "/g.esg"
+	path := t.TempDir() + "/g.esc"
 	if err := edgeshed.SaveFile(path, g, rm); err != nil {
 		t.Fatal(err)
 	}

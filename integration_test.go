@@ -129,7 +129,7 @@ func TestPipelineFileRoundTrip(t *testing.T) {
 	}
 	g := buildSmall(t)
 	dir := t.TempDir()
-	for _, name := range []string{"g.txt", "g.esg"} {
+	for _, name := range []string{"g.txt", "g.esc"} {
 		path := dir + "/" + name
 		if err := graph.SaveFile(path, g, nil); err != nil {
 			t.Fatalf("%s: save: %v", name, err)

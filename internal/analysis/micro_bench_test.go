@@ -38,10 +38,9 @@ func BenchmarkDistanceProfileSampled(b *testing.B) {
 	}
 }
 
-// The Serial/Parallel pairs below feed BENCH_tasks.json (make bench-tasks):
-// benchjson divides Serial ns/op by Parallel ns/op per stem. Serial is the
-// seed kernel preserved in oracle_test.go; Parallel is the production kernel
-// at 4 workers.
+// In the Serial/Parallel pairs below, Serial is the seed kernel preserved in
+// oracle_test.go and Parallel the production kernel at 4 workers; their
+// ns/op ratio is the parallel speedup.
 
 // The profile pair uses m = 8 (average degree 16), in the density range of
 // the paper's datasets (email-Enron ~10, ca-HepPh ~21), where the
@@ -64,10 +63,10 @@ func BenchmarkDistanceProfileParallel(b *testing.B) {
 	}
 }
 
-// The PerSource/MSBFS pair (PR 7, recorded in BENCH_bfs.json by `make
-// bench-bfs`) compares the replaced per-source direction-optimizing kernel
-// against the bit-parallel batched engine, single worker, same graph and
-// source sample as the Serial/Parallel pair above.
+// The PerSource/MSBFS pair compares the replaced per-source
+// direction-optimizing kernel against the bit-parallel batched engine,
+// single worker, same graph and source sample as the Serial/Parallel pair
+// above.
 
 func BenchmarkDistanceProfilePerSource(b *testing.B) {
 	g := gen.BarabasiAlbert(10000, 8, 1)

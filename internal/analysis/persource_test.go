@@ -2,8 +2,8 @@ package analysis
 
 // This file preserves the per-source direction-optimizing BFS kernel
 // (levelBFS, the PR-2 production path that internal/msbfs replaced) as a
-// test oracle and as the PerSource benchmark baseline of the
-// PerSource/MSBFS pairs recorded in BENCH_bfs.json. The MS-BFS profile
+// test oracle and as the PerSource side of the PerSource/MSBFS benchmark
+// pairs. The MS-BFS profile
 // counts the same integer pairs per distance, so comparisons are bit-exact.
 
 import (

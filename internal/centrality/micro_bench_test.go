@@ -37,8 +37,7 @@ func BenchmarkEdgeBetweennessSampled(b *testing.B) {
 // the kernels rather than scheduling. CSRIndexed is whatever the public
 // entry point runs — today the batched MS-BFS engine — so this pair is the
 // cumulative production-vs-seed speedup, while the PerSource/MSBFS pairs
-// below isolate the batching win alone. `make bench-centrality` records
-// both pairs in BENCH_betweenness.json.
+// below isolate the batching win alone.
 
 func BenchmarkEdgeBetweennessMapIndexed(b *testing.B) {
 	g := gen.BarabasiAlbert(1000, 3, 1)
@@ -93,8 +92,7 @@ func BenchmarkCloseness(b *testing.B) {
 	}
 }
 
-// The PerSource/MSBFS pairs are PR 7's perf criterion, recorded in
-// BENCH_bfs.json by `make bench-bfs`: the replaced one-BFS-per-source
+// The PerSource/MSBFS pairs compare the replaced one-BFS-per-source
 // kernels against the bit-parallel batched engine, single worker on the
 // same graph, so the speedup is the batching alone — traversal sharing and
 // word-level wavefronts, not scheduling.
@@ -135,14 +133,13 @@ func BenchmarkNodeBetweennessMSBFS(b *testing.B) {
 	}
 }
 
-// The EdgeBetweennessScores pair is this PR's perf criterion, recorded in
-// BENCH_betweenness.json: the preserved per-source edge path
+// The EdgeBetweennessScores pair compares the preserved per-source edge path
 // (persource.go) against the batched edge-dependency fold, single worker
 // on the same graph — the CRR Phase 1 scorer before and after. Same BA
 // shape and scale as the Closeness pair so the BFS-shaped kernels are
 // compared on one footing. (The stem is the API entry point's name; the
 // bare EdgeBetweenness stem already belongs to the MapIndexed/CSRIndexed
-// pair above, and stems must be unique within one report.)
+// pair above.)
 
 func BenchmarkEdgeBetweennessScoresPerSource(b *testing.B) {
 	g := gen.BarabasiAlbert(3000, 3, 1)

@@ -34,10 +34,10 @@ func BenchmarkBM2Reduce(b *testing.B) {
 	}
 }
 
-// The MapIndexed/CSRIndexed and Serial/Parallel pairs below feed
-// bench-shedding: the old variant runs the preserved pre-migration
-// implementation from oracle_test.go (or Workers = 1 for the sweep), the new
-// one the production code, and benchjson derives each stem's speedup.
+// In the MapIndexed/CSRIndexed and Serial/Parallel pairs below, the old
+// variant runs the preserved pre-migration implementation from
+// oracle_test.go (or Workers = 1 for the sweep) and the new one the
+// production code; their ns/op ratio is each stem's speedup.
 
 func BenchmarkCRRReduceMapIndexed(b *testing.B) {
 	g := gen.BarabasiAlbert(20000, 4, 1)
@@ -131,8 +131,7 @@ func BenchmarkResultDelta(b *testing.B) {
 	}
 }
 
-// The CRRReduceExact pair is the end-to-end half of PR 8's perf criterion,
-// recorded in BENCH_shedding.json: a full exact-betweenness CRR reduction
+// The CRRReduceExact pair times a full exact-betweenness CRR reduction
 // with Phase 1 on the preserved per-source scorer versus the batched MS-BFS
 // edge-dependency fold, single worker, identical Phase 2. The gap between
 // the two is the CRR speedup the batched scorer buys in practice.

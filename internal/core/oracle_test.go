@@ -5,7 +5,8 @@ package core
 // ForestFire — verbatim as oracles, in the style the parallel analysis
 // kernels established: the production code may change representation freely,
 // but these tests pin its output bit-for-bit to what the simpler structures
-// computed. They double as the "old" side of the bench-shedding pairs.
+// computed. They double as the "old" side of the MapIndexed/CSRIndexed
+// benchmark pairs.
 //
 // CRR's Phase 1 ranking is the one deliberate behavior change of the flat
 // migration (rng.Perm + stable sort → splitmix64 tie keys), so the CRR

@@ -98,7 +98,8 @@ func (g *Graph) CSR() *CSR {
 // must be addressable by int32 (Offsets, EdgeID and Mate are all int32).
 // Without this check a graph just over the limit would silently wrap slot
 // indices and corrupt the view; with it, oversized graphs fail loudly here
-// and in the writers that reuse the check (WriteBinary, WritePacked).
+// and in the packed writers that reuse the check (WritePacked, the
+// external-sort packer).
 func csrBounds(n, m int) error {
 	if int64(n) > math.MaxInt32 {
 		return fmt.Errorf("graph: %d nodes overflow int32 node ids (max %d)", n, math.MaxInt32)

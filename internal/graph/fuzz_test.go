@@ -2,6 +2,8 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"strings"
 	"testing"
 )
@@ -29,39 +31,48 @@ func FuzzReadEdgeList(f *testing.F) {
 	})
 }
 
-// FuzzReadBinary asserts the binary parser never panics and that any graph
-// it accepts round-trips identically.
-func FuzzReadBinary(f *testing.F) {
-	good := func(edges []Edge, n int) []byte {
-		g := MustFromEdges(n, edges)
+// FuzzOpenPacked asserts that the ESC1 loader never panics and that no
+// file it accepts can fault a kernel walking the graph. The checksum is
+// recomputed after mutation, so mutated payloads reach the structural sweep
+// instead of being stopped by the CRC.
+func FuzzOpenPacked(f *testing.F) {
+	packed := func(g *Graph, rm *Remapper) []byte {
 		var buf bytes.Buffer
-		if err := WriteBinary(&buf, g); err != nil {
+		if err := WritePacked(&buf, g, rm, PackWriteOptions{}); err != nil {
 			f.Fatal(err)
 		}
 		return buf.Bytes()
 	}
-	f.Add(good([]Edge{{U: 0, V: 1}, {U: 1, V: 2}}, 3))
-	f.Add(good(nil, 0))
-	f.Add([]byte("ESG1 garbage"))
-	f.Add([]byte{})
+	labelled, rm, err := ReadEdgeList(strings.NewReader(testEdgeListText(12, 30, 1)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(packed(MustFromEdges(3, []Edge{{U: 0, V: 1}, {U: 1, V: 2}}), nil))
+	f.Add(packed(MustFromEdges(5, []Edge{{U: 0, V: 4}, {U: 1, V: 4}, {U: 2, V: 3}}), nil))
+	f.Add(packed(labelled, rm))
+	f.Add(packed(MustFromEdges(0, nil), nil))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, err := ReadBinary(bytes.NewReader(data))
+		data = append([]byte(nil), data...)
+		if len(data) >= packHeaderSize {
+			binary.LittleEndian.PutUint64(data[32:40], uint64(crc32.Checksum(data[packHeaderSize:], castagnoli)))
+		}
+		p, err := loadPacked(data, int64(len(data)))
 		if err != nil {
 			return
 		}
-		if err := g.Validate(); err != nil {
-			t.Fatalf("accepted graph invalid: %v", err)
+		g, c := p.Graph(), p.Graph().CSR()
+		for u := 0; u < g.NumNodes(); u++ {
+			for _, v := range g.Neighbors(NodeID(u)) {
+				_ = g.Degree(v)
+			}
 		}
-		var buf bytes.Buffer
-		if err := WriteBinary(&buf, g); err != nil {
-			t.Fatalf("re-encode: %v", err)
+		for s := range c.Targets {
+			id, mate := c.EdgeID[s], c.Mate[s]
+			_, _, _ = c.EdgeU[id], c.EdgeV[id], c.Targets[mate]
+			_ = g.Degree(c.Targets[s])
 		}
-		g2, err := ReadBinary(&buf)
-		if err != nil {
-			t.Fatalf("re-decode: %v", err)
-		}
-		if g2.NumNodes() != g.NumNodes() || g2.NumEdges() != g.NumEdges() {
-			t.Fatalf("round trip changed shape: %v vs %v", g2, g)
+		for u := 0; u < p.Remapper().Len(); u++ {
+			_ = p.Remapper().Label(NodeID(u))
 		}
 	})
 }

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// The ingest trajectory pair (BENCH_ingest.json): parsing the text edge
+// The ingest benchmark pair: parsing the text edge
 // list from scratch versus mmap-loading the packed-CSR file. Same graph,
 // same resulting in-memory view — the packed load skips all per-edge work,
 // paying only the checksum and validation sweeps.

@@ -55,10 +55,8 @@ func writeFileWith(path string, write func(w io.Writer) error) error {
 }
 
 // LoadFile reads a graph from path, selecting the format by extension:
-// ".esc" is the mmap-able packed-CSR format, ".esg" the binary format, and
-// anything else the text edge list. Binary files carry no external labels,
-// so their remapper is the identity over dense ids; packed files store the
-// original labels (or an identity flag).
+// ".esc" is the mmap-able packed-CSR format and anything else the text edge
+// list. Packed files store the original labels (or an identity flag).
 func LoadFile(path string) (*Graph, *Remapper, error) {
 	return LoadFileObs(path, nil)
 }
@@ -67,35 +65,26 @@ func LoadFile(path string) (*Graph, *Remapper, error) {
 // loader's phase spans and counters are recorded under sp. A ".esc" load
 // keeps its file mapping for the process lifetime.
 func LoadFileObs(path string, sp *obs.Span) (*Graph, *Remapper, error) {
-	switch {
-	case strings.HasSuffix(path, ".esc"):
-		p, err := openPackedObs(path, sp)
-		if err != nil {
-			return nil, nil, err
-		}
-		// The mapping is intentionally never unmapped: callers of LoadFile
-		// keep the graph for the process lifetime.
-		return p.Graph(), p.Remapper(), nil
-	case strings.HasSuffix(path, ".esg"):
-		g, err := ReadBinaryFile(path)
-		if err != nil {
-			return nil, nil, err
-		}
-		return g, IdentityRemapper(g.NumNodes()), nil
+	if !strings.HasSuffix(path, ".esc") {
+		return readEdgeListFileObs(path, sp)
 	}
-	return readEdgeListFileObs(path, sp)
+	p, err := openPackedObs(path, sp)
+	if err != nil {
+		return nil, nil, err
+	}
+	// The mapping is intentionally never unmapped: callers of LoadFile keep
+	// the graph for the process lifetime.
+	return p.Graph(), p.Remapper(), nil
 }
 
 // SaveFile writes a graph to path, selecting the format by extension as in
 // LoadFile, plus ".dot" for Graphviz rendering. The remapper is stored in
-// ".esc" output and used to translate text output; it is ignored for binary
-// and DOT output (those formats store dense ids).
+// ".esc" output and used to translate text output; it is ignored for DOT
+// output, which stores dense ids.
 func SaveFile(path string, g *Graph, rm *Remapper) error {
 	switch {
 	case strings.HasSuffix(path, ".esc"):
 		return WritePackedFile(path, g, rm, PackWriteOptions{})
-	case strings.HasSuffix(path, ".esg"):
-		return WriteBinaryFile(path, g)
 	case strings.HasSuffix(path, ".dot"):
 		return writeFileWith(path, func(w io.Writer) error {
 			return WriteDOT(w, g, DOTOptions{DropIsolated: true})

@@ -5,7 +5,6 @@ import (
 	"io"
 	"math"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -36,16 +35,13 @@ func TestSaveFileCloseErrorPropagates(t *testing.T) {
 	closeErr := errors.New("close failed: disk full")
 	withFailingClose(t, closeErr)
 	g := MustFromEdges(3, []Edge{{0, 1}, {1, 2}})
-	for _, name := range []string{"g.dot", "g.txt", "g.esg", "g.esc"} {
+	for _, name := range []string{"g.dot", "g.txt", "g.esc"} {
 		if err := SaveFile(name, g, nil); !errors.Is(err, closeErr) {
 			t.Errorf("SaveFile(%s) = %v, want the close error", name, err)
 		}
 	}
 	if err := WriteEdgeListFile("g.txt", g, nil); !errors.Is(err, closeErr) {
 		t.Errorf("WriteEdgeListFile = %v, want the close error", err)
-	}
-	if err := WriteBinaryFile("g.esg", g); !errors.Is(err, closeErr) {
-		t.Errorf("WriteBinaryFile = %v, want the close error", err)
 	}
 	if err := WritePackedFile("g.esc", g, nil, PackWriteOptions{}); !errors.Is(err, closeErr) {
 		t.Errorf("WritePackedFile = %v, want the close error", err)
@@ -71,27 +67,6 @@ func TestWriteFileWithRealFile(t *testing.T) {
 		return err
 	}); err != nil {
 		t.Fatalf("writeFileWith: %v", err)
-	}
-}
-
-// TestBinaryBounds pins the uint32 overflow guard: counts past 2^32−1 were
-// silently truncated by the uint32 header casts before the guard existed.
-func TestBinaryBounds(t *testing.T) {
-	if err := binaryBounds(10, 20); err != nil {
-		t.Errorf("small counts rejected: %v", err)
-	}
-	if err := binaryBounds(math.MaxUint32, math.MaxUint32); err != nil {
-		t.Errorf("boundary counts rejected: %v", err)
-	}
-	if err := binaryBounds(math.MaxUint32+1, 0); err == nil {
-		t.Error("node count past uint32 accepted")
-	} else if !strings.Contains(err.Error(), "node count") {
-		t.Errorf("wrong error for node overflow: %v", err)
-	}
-	if err := binaryBounds(0, math.MaxUint32+1); err == nil {
-		t.Error("edge count past uint32 accepted")
-	} else if !strings.Contains(err.Error(), "edge count") {
-		t.Errorf("wrong error for edge overflow: %v", err)
 	}
 }
 

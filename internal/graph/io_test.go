@@ -2,6 +2,8 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -114,7 +116,7 @@ func TestReadEdgeListFileMissing(t *testing.T) {
 func TestLoadSaveFileFormats(t *testing.T) {
 	g := MustFromEdges(3, []Edge{{U: 0, V: 1}, {U: 1, V: 2}})
 	dir := t.TempDir()
-	for _, name := range []string{"g.txt", "g.esg"} {
+	for _, name := range []string{"g.txt", "g.esc"} {
 		path := filepath.Join(dir, name)
 		if err := SaveFile(path, g, nil); err != nil {
 			t.Fatalf("SaveFile(%s): %v", name, err)
@@ -132,6 +134,27 @@ func TestLoadSaveFileFormats(t *testing.T) {
 		// Both formats yield an identity-usable remapper for dense inputs.
 		if rm.Label(0) != 0 {
 			t.Errorf("%s: label(0) = %d, want 0", name, rm.Label(0))
+		}
+	}
+}
+
+// TestLoadFileRejectsLegacyBinary pins that a file in the retired ESG1
+// binary format is an error under either extension LoadFile dispatches on:
+// the text parser rejects its bytes and the packed loader its magic.
+func TestLoadFileRejectsLegacyBinary(t *testing.T) {
+	var legacy bytes.Buffer
+	legacy.WriteString("ESG1")
+	for _, x := range []uint32{3, 2, 0, 1, 1, 2} { // |V|, |E|, then (u, v) pairs
+		binary.Write(&legacy, binary.LittleEndian, x)
+	}
+	dir := t.TempDir()
+	for _, name := range []string{"legacy.bin", "legacy.esc"} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, legacy.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if g, _, err := LoadFile(path); err == nil {
+			t.Errorf("LoadFile(%s) accepted an ESG1 file as %v", name, g)
 		}
 	}
 }

@@ -62,21 +62,6 @@ func BenchmarkEdgeListWrite(b *testing.B) {
 	}
 }
 
-func BenchmarkBinaryRoundTrip(b *testing.B) {
-	g := microGraph(b, 5000, 25000)
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		b.Fatal(err)
-	}
-	data := buf.Bytes()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ReadBinary(bytes.NewReader(data)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkCSRBuild(b *testing.B) {
 	g := microGraph(b, 10000, 50000)
 	b.ResetTimer()

@@ -15,9 +15,7 @@ import (
 // The ESC1 packed-CSR format is the out-of-core substrate for SNAP-scale
 // graphs: the CSR view's arrays written to disk exactly as graph.CSR holds
 // them in memory, so loading is one mmap plus slice-header fixups with zero
-// per-edge parsing (see mmap.go). Where the .esg binary format is a
-// fast-reload cache that still re-runs the Builder per edge, a .esc file
-// *is* the graph.
+// per-edge parsing (see mmap.go): a .esc file *is* the graph.
 //
 // Layout, all little-endian:
 //

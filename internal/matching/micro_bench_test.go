@@ -9,7 +9,7 @@ import (
 
 // The MapIndexed/CSRIndexed pair compares the seed-era edge-struct sort
 // (key recomputed per comparison) against the production id sort with
-// precomputed keys; bench-shedding derives the speedup from the pair.
+// precomputed keys; their ns/op ratio is the speedup.
 
 func benchCaps(g *graph.Graph, p float64) []int {
 	caps := make([]int, g.NumNodes())

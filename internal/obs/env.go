@@ -7,10 +7,9 @@ import (
 	"strings"
 )
 
-// Env identifies the machine and toolchain a measurement was taken on. It
-// is embedded in BENCH_*.json baselines (cmd/benchjson) so consumers like
-// cmd/obsdiff can refuse to compare numbers from different machines instead
-// of reporting phantom regressions.
+// Env identifies the machine and toolchain a measurement was taken on, so
+// consumers like `obsreport diff` can refuse to compare numbers from
+// different machines instead of reporting phantom regressions.
 type Env struct {
 	// GoVersion is runtime.Version() of the measuring process.
 	GoVersion string `json:"go_version"`

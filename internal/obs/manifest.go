@@ -11,9 +11,8 @@ import (
 // Manifest is the JSON run document a cmd binary emits with -metrics: the
 // run's identity (command, toolchain, host shape), its inputs (graph
 // size, options, seed, workers), and its observed behaviour (span tree,
-// counters, gauges, memory deltas, selected runtime metrics). Manifests
-// are written next to the existing BENCH_*.json trajectory files so
-// experiment runs become diffable artifacts.
+// counters, gauges, memory deltas, selected runtime metrics), so
+// experiment runs become diffable artifacts (cmd/obsreport).
 type Manifest struct {
 	// Command is the emitting binary's name (e.g. "shed").
 	Command string `json:"command"`
@@ -49,7 +48,7 @@ type Manifest struct {
 	// Gauges holds every gauge's final value.
 	Gauges map[string]int64 `json:"gauges,omitempty"`
 	// Histograms holds every histogram's merged bucket snapshot, the
-	// distributions cmd/obsdiff compares by p50/p99.
+	// distributions `obsreport diff` compares by p50/p99.
 	Histograms map[string]*HistogramSnapshot `json:"histograms,omitempty"`
 	// FlightEvents is the flight recorder's tail — the last few thousand
 	// structured events in timestamp order (DESIGN.md §11). Present whenever

@@ -102,7 +102,6 @@ func progressSnapshot(rec *Recorder) *ProgressSnapshot {
 // line; keeping the registry here — not at every call site — means one
 // place to scan for the exposition vocabulary.
 var metricHelp = map[string]string{
-	"benchjson.lines":            "Benchmark output lines parsed.",
 	"betweenness.sources_done":   "Brandes/MS-BFS betweenness source vertices completed.",
 	"bm2.avg_dis":                "BM2 achieved average degree discrepancy per node.",
 	"bm2.bound.theorem2":         "Theorem 2 bound on BM2 average discrepancy per node.",
