@@ -82,7 +82,7 @@ func checkEnv(w io.Writer, base, cur *obs.Env, allowEnv bool) error {
 	return nil
 }
 
-// diffManifest compares two run manifests: counter and gauge deltas
+// diffManifest compares two run manifests: counter deltas
 // (report-only — counts are semantic, a delta has no regression
 // percentage) and per-span wall-time ratios (gated, above the noise
 // floor).
@@ -101,8 +101,7 @@ func diffManifest(w io.Writer, basePath, curPath string, gate float64, allowEnv 
 	if base.Command != cur.Command {
 		fmt.Fprintf(w, "warning: comparing different commands: %s vs %s\n", base.Command, cur.Command)
 	}
-	diffCountMaps(w, "counter", base.Counters, cur.Counters)
-	diffCountMaps(w, "gauge", base.Gauges, cur.Gauges)
+	diffCounters(w, base.Counters, cur.Counters)
 	var breaches []string
 	breaches = append(breaches, diffHistograms(w, base.Histograms, cur.Histograms, gate)...)
 
@@ -151,9 +150,9 @@ func manifestEnv(m *obs.Manifest) *obs.Env {
 		CPUs: m.CPUs, GitCommit: m.GitCommit}
 }
 
-// diffCountMaps prints old → new (delta) for the union of two counter or
-// gauge maps, flagging keys present on only one side.
-func diffCountMaps(w io.Writer, kind string, base, cur map[string]int64) {
+// diffCounters prints old → new (delta) for the union of two counter maps,
+// flagging keys present on only one side.
+func diffCounters(w io.Writer, base, cur map[string]int64) {
 	keys := map[string]bool{}
 	for k := range base {
 		keys[k] = true
@@ -166,11 +165,11 @@ func diffCountMaps(w io.Writer, kind string, base, cur map[string]int64) {
 		c, inCur := cur[k]
 		switch {
 		case !inBase:
-			fmt.Fprintf(w, "%s %-40s only in current (%d)\n", kind, k, c)
+			fmt.Fprintf(w, "counter %-40s only in current (%d)\n", k, c)
 		case !inCur:
-			fmt.Fprintf(w, "%s %-40s only in baseline (%d)\n", kind, k, b)
+			fmt.Fprintf(w, "counter %-40s only in baseline (%d)\n", k, b)
 		default:
-			fmt.Fprintf(w, "%s %-40s %d -> %d (%+d)\n", kind, k, b, c, c-b)
+			fmt.Fprintf(w, "counter %-40s %d -> %d (%+d)\n", k, b, c, c-b)
 		}
 	}
 }

@@ -29,8 +29,8 @@
 // with at least two runs, the latest value against the previous one; "info"
 // series (edge counts, bounds) trend but never gate.
 //
-// Diff mode compares a baseline manifest with a current one: counter and
-// gauge deltas (report-only), histogram p50/p99 shifts and per-span
+// Diff mode compares a baseline manifest with a current one: counter
+// deltas (report-only), histogram p50/p99 shifts and per-span
 // wall-time ratios (gated above per-unit noise floors). Manifests carry the
 // measuring machine's identity; diff refuses to compare runs from different
 // machines, because a hardware delta masquerades as a perf delta.

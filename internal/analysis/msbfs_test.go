@@ -69,8 +69,8 @@ func TestProfileBitIdenticalAcrossWorkersAndBatch(t *testing.T) {
 }
 
 // TestProfileBitIdenticalWithObs pins the instrumentation non-perturbation
-// guarantee: a live recorder must not change one profile bit, and both the
-// legacy bfs.* counters and the msbfs.* counters must move.
+// guarantee: a live recorder must not change one profile bit, and the
+// profile's bfs.sources_done and the engine's msbfs.* counters must move.
 func TestProfileBitIdenticalWithObs(t *testing.T) {
 	g := gen.BarabasiAlbert(300, 3, 11)
 	for _, workers := range []int{1, 4} {
@@ -95,7 +95,7 @@ func TestProfileBitIdenticalWithObs(t *testing.T) {
 			}
 			// Wide batches can saturate occupancy at level 1 and run every
 			// level bottom-up, so assert on the direction tallies jointly.
-			if vals["bfs.topdown_levels"]+vals["bfs.bottomup_levels"] == 0 {
+			if vals["msbfs.topdown_levels"]+vals["msbfs.bottomup_levels"] == 0 {
 				t.Fatalf("workers=%d batch=%d: no BFS levels recorded: %v", workers, batch, vals)
 			}
 			hists := rec.HistogramValues()

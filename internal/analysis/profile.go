@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"math/bits"
-	"time"
 
 	"edgeshed/internal/graph"
 	"edgeshed/internal/msbfs"
@@ -47,8 +46,8 @@ type ProfileOptions struct {
 	Batch int
 	// Obs is the parent observability span; nil (the zero value) records
 	// nothing at no cost. When set, the kernel reports a "distance_profile"
-	// span with per-worker busy time plus counters for sources completed and
-	// the direction-optimizing BFS's level/switch tallies. The profile stays
+	// span with per-worker busy time, a "bfs.sources_done" counter and the
+	// MS-BFS engine's msbfs.* counters and histograms. The profile stays
 	// bit-identical with Obs on or off, at any worker count.
 	Obs *obs.Span
 }
@@ -85,16 +84,7 @@ func NewDistanceProfile(g *graph.Graph, opt ProfileOptions) *DistanceProfile {
 	defer sp.End()
 	sp.SetTotal(int64(numBatches))
 	srcCtr := sp.Counter("bfs.sources_done")
-	tdCtr := sp.Counter("bfs.topdown_levels")
-	buCtr := sp.Counter("bfs.bottomup_levels")
-	swCtr := sp.Counter("bfs.direction_switches")
-	batchCtr := sp.Counter("msbfs.batches_done")
-	wordCtr := sp.Counter("msbfs.words_scanned")
-	batchNs := sp.Histogram("msbfs.batch_ns")
-	batchOcc := sp.Histogram("msbfs.batch_occupancy")
-	levelWidth := sp.Histogram("msbfs.level_width")
-	batchMk := sp.Marker(obs.EvBatch, "distance_profile")
-	switchMk := sp.Marker(obs.EvDirSwitch, "distance_profile")
+	meter := msbfs.NewMeter(sp, "distance_profile")
 	type wstate struct {
 		counts   []int64
 		pairs    int64
@@ -102,38 +92,14 @@ func NewDistanceProfile(g *graph.Graph, opt ProfileOptions) *DistanceProfile {
 	}
 	states := make([]wstate, workers)
 	par.Run(workers, func(w int) {
-		var t0 time.Time
-		if sp.Enabled() {
-			t0 = time.Now()
-		}
 		tr := msbfs.New(c, width, false)
-		if sp.Enabled() {
-			tr.OnSwitch = func(level int, bottomUp bool) {
-				dir := int64(0)
-				if bottomUp {
-					dir = 1
-				}
-				switchMk.Emit(w, int64(level)<<1|dir)
-			}
-		}
+		wm := meter.Worker(w, tr)
 		var st wstate
 		var done int64
 		for bi := w; bi < numBatches; bi += workers {
 			lo := bi * width
 			hi := min(lo+width, len(srcs))
-			if sp.Enabled() {
-				b0 := time.Now()
-				tr.Run(srcs[lo:hi])
-				batchNs.ObserveAt(w, time.Since(b0).Nanoseconds())
-				batchOcc.ObserveAt(w, int64(hi-lo))
-				batchMk.Emit(w, int64(hi-lo))
-				for d := 0; d < tr.NumLevels(); d++ {
-					nodes, _ := tr.Level(d)
-					levelWidth.ObserveAt(w, int64(len(nodes)))
-				}
-			} else {
-				tr.Run(srcs[lo:hi])
-			}
+			tr.Run(srcs[lo:hi])
 			for d := 1; d < tr.NumLevels(); d++ {
 				_, words := tr.Level(d)
 				var cnt int64
@@ -149,20 +115,13 @@ func NewDistanceProfile(g *graph.Graph, opt ProfileOptions) *DistanceProfile {
 					st.diameter = d
 				}
 			}
+			wm.Batch(hi - lo)
 			done += int64(hi - lo)
 			sp.Done(1)
 		}
 		states[w] = st
-		if sp.Enabled() {
-			s := tr.Stats()
-			srcCtr.AddAt(w, done)
-			tdCtr.AddAt(w, s.TopDownLevels)
-			buCtr.AddAt(w, s.BottomUpLevels)
-			swCtr.AddAt(w, s.Switches)
-			batchCtr.AddAt(w, s.Batches)
-			wordCtr.AddAt(w, s.WordsScanned)
-			sp.WorkerBusy(w, time.Since(t0))
-		}
+		srcCtr.AddAt(w, done)
+		wm.End()
 	})
 	var counts []int64
 	var pairs int64

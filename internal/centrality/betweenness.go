@@ -10,8 +10,7 @@
 // (node, batch bit) pair, and node and edge dependencies fold through the
 // fixed-shard discipline in a canonical order — so the scores are
 // bit-identical at any Workers count and any Batch width. The seed
-// per-source path is preserved in persource.go as the oracle and benchmark
-// baseline.
+// map-indexed per-source Brandes survives only as a test oracle.
 //
 // Betweenness is the backbone of CRR Phase 1 (edge ranking) and of the UDS
 // comparator's node/edge importance scores.
@@ -34,7 +33,7 @@ type Options struct {
 	Samples int
 	// Workers is the parallelism across sources. 0 means GOMAXPROCS; a
 	// negative value is likewise treated as GOMAXPROCS. Sources accumulate
-	// into par.Shards fixed shards (source i into shard i mod par.Shards)
+	// into par.Shards fixed shards (contiguous blocks of the source list)
 	// that merge in shard order, so the scores are bit-identical at ANY
 	// worker count, not just deterministic per count. Parallelism is
 	// therefore capped at par.Shards workers.
@@ -53,7 +52,7 @@ type Options struct {
 	// Obs is the parent observability span; nil (the zero value) records
 	// nothing at no cost. When set, the kernel reports a "betweenness" span
 	// with per-worker busy time, a "betweenness.sources_done" counter, the
-	// engine's "msbfs.*" traversal counters and — on the edge path — a
+	// engine's "msbfs.*" counters and histograms and — on the edge path — a
 	// "brandes.edge_folds" counter of dependency terms folded into edge
 	// scores. Instrumentation never alters the scores: they stay
 	// bit-identical with Obs on or off, at any worker count.
@@ -115,9 +114,9 @@ func (s *EdgeScores) Len() int { return len(s.Scores) }
 // discipline in a canonical per-level order — so the scores are
 // bit-identical at any Workers count and any Batch width, and bit-exactly
 // pinned by the canonical serial oracle in msbfs_oracle_test.go. The
-// canonical summation order differs from the per-source queue order the
-// preserved persource.go path uses, so these scores match that path only
-// to float tolerance, not bit for bit.
+// canonical summation order differs from the seed's per-source queue
+// order, so these scores match the seed oracle only to float tolerance,
+// not bit for bit.
 func NodeBetweenness(g *graph.Graph, opt Options) []float64 {
 	nodes, _ := msbfsBetweenness(g, opt, true, false)
 	return nodes

@@ -37,18 +37,16 @@ package centrality
 // terms in shard-source order at any batch width. See DESIGN.md §10.4.
 //
 // The canonical order differs from the seed per-source queue order, so both
-// kernels are pinned against their own canonical serial oracles (bit-exact)
-// and against the preserved seed per-source path within float tolerance;
-// see oracle_test.go, msbfs_oracle_test.go and DESIGN.md §10.
+// kernels are pinned against their own canonical serial oracle (bit-exact)
+// and against the seed map-indexed oracle within float tolerance; see
+// oracle_test.go, msbfs_oracle_test.go and DESIGN.md §10.
 
 import (
 	"math/bits"
 	"sort"
-	"time"
 
 	"edgeshed/internal/graph"
 	"edgeshed/internal/msbfs"
-	"edgeshed/internal/obs"
 	"edgeshed/internal/par"
 )
 
@@ -117,7 +115,7 @@ type batchedBrandes struct {
 	slotMask []uint64
 	// edgeFolds tallies edge dependency terms folded across every run, for
 	// the "brandes.edge_folds" counter. Plain local state — the driver folds
-	// it into the span only when observability is on.
+	// it into the counter once per worker, a no-op when observability is off.
 	edgeFolds int64
 }
 
@@ -470,9 +468,10 @@ func (st *batchedBrandes) foldEdges(nb int, nodeAcc, edgeAcc []float64) {
 }
 
 // msbfsBetweenness is the batched driver behind NodeBetweenness,
-// EdgeBetweennessScores and Betweenness: the same source selection,
-// fixed-shard accumulation and scaling as the preserved per-source both(),
-// with each shard's source list batched through one MS-BFS Brandes state.
+// EdgeBetweennessScores and Betweenness: Options.sources picks the sources,
+// the locality order splits them into par.Shards contiguous blocks, each
+// block is batched in order through one worker's MS-BFS Brandes state, and
+// the block partials merge in block order before scaling.
 func msbfsBetweenness(g *graph.Graph, opt Options, wantNodes, wantEdges bool) ([]float64, []float64) {
 	n := g.NumNodes()
 	var nodes, edges []float64
@@ -502,34 +501,16 @@ func msbfsBetweenness(g *graph.Graph, opt Options, wantNodes, wantEdges bool) ([
 	defer sp.End()
 	sp.SetTotal(int64(len(srcs)))
 	srcCtr := sp.Counter("betweenness.sources_done")
-	batchCtr := sp.Counter("msbfs.batches_done")
-	wordCtr := sp.Counter("msbfs.words_scanned")
-	swCtr := sp.Counter("msbfs.direction_switches")
 	foldCtr := sp.Counter("brandes.edge_folds")
-	batchNs := sp.Histogram("msbfs.batch_ns")
-	batchOcc := sp.Histogram("msbfs.batch_occupancy")
-	batchMk := sp.Marker(obs.EvBatch, "betweenness")
-	switchMk := sp.Marker(obs.EvDirSwitch, "betweenness")
+	meter := msbfs.NewMeter(sp, "betweenness")
 	type partial struct {
 		nodes, edges []float64
 	}
 	parts := make([]partial, shards)
 	par.Run(workers, func(w int) {
-		var t0 time.Time
-		if sp.Enabled() {
-			t0 = time.Now()
-		}
 		var done int64
 		st := newBatchedBrandes(c, width, wantEdges)
-		if sp.Enabled() {
-			st.tr.OnSwitch = func(level int, bottomUp bool) {
-				dir := int64(0)
-				if bottomUp {
-					dir = 1
-				}
-				switchMk.Emit(w, int64(level)<<1|dir)
-			}
-		}
+		wm := meter.Worker(w, st.tr)
 		for k := w; k < shards; k += workers {
 			var nodeAcc, edgeAcc []float64
 			if wantNodes {
@@ -542,29 +523,16 @@ func msbfsBetweenness(g *graph.Graph, opt Options, wantNodes, wantEdges bool) ([
 			shardSrcs := srcs[blo:bhi]
 			for lo := 0; lo < len(shardSrcs); lo += width {
 				hi := min(lo+width, len(shardSrcs))
-				if sp.Enabled() {
-					b0 := time.Now()
-					st.run(shardSrcs[lo:hi], nodeAcc, edgeAcc)
-					batchNs.ObserveAt(w, time.Since(b0).Nanoseconds())
-					batchOcc.ObserveAt(w, int64(hi-lo))
-					batchMk.Emit(w, int64(hi-lo))
-				} else {
-					st.run(shardSrcs[lo:hi], nodeAcc, edgeAcc)
-				}
+				st.run(shardSrcs[lo:hi], nodeAcc, edgeAcc)
+				wm.Batch(hi - lo)
 				done += int64(hi - lo)
 				sp.Done(int64(hi - lo))
 			}
 			parts[k] = partial{nodes: nodeAcc, edges: edgeAcc}
 		}
-		if sp.Enabled() {
-			s := st.tr.Stats()
-			srcCtr.AddAt(w, done)
-			batchCtr.AddAt(w, s.Batches)
-			wordCtr.AddAt(w, s.WordsScanned)
-			swCtr.AddAt(w, s.Switches)
-			foldCtr.AddAt(w, st.edgeFolds)
-			sp.WorkerBusy(w, time.Since(t0))
-		}
+		srcCtr.AddAt(w, done)
+		foldCtr.AddAt(w, st.edgeFolds)
+		wm.End()
 	})
 	if wantNodes {
 		for _, p := range parts {

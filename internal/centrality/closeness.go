@@ -2,11 +2,9 @@ package centrality
 
 import (
 	"math/bits"
-	"time"
 
 	"edgeshed/internal/graph"
 	"edgeshed/internal/msbfs"
-	"edgeshed/internal/obs"
 	"edgeshed/internal/par"
 )
 
@@ -49,14 +47,7 @@ func Closeness(g *graph.Graph, opt Options) []float64 {
 	defer sp.End()
 	sp.SetTotal(int64(numBatches))
 	srcCtr := sp.Counter("closeness.sources_done")
-	batchCtr := sp.Counter("msbfs.batches_done")
-	wordCtr := sp.Counter("msbfs.words_scanned")
-	swCtr := sp.Counter("msbfs.direction_switches")
-	batchNs := sp.Histogram("msbfs.batch_ns")
-	batchOcc := sp.Histogram("msbfs.batch_occupancy")
-	levelWidth := sp.Histogram("msbfs.level_width")
-	batchMk := sp.Marker(obs.EvBatch, "closeness")
-	switchMk := sp.Marker(obs.EvDirSwitch, "closeness")
+	meter := msbfs.NewMeter(sp, "closeness")
 	// Per-worker partial reach counts and distance sums per target node;
 	// integer, so the merge below is exact in any order.
 	type partial struct {
@@ -64,39 +55,15 @@ func Closeness(g *graph.Graph, opt Options) []float64 {
 	}
 	parts := make([]partial, workers)
 	par.Run(workers, func(w int) {
-		var t0 time.Time
-		if sp.Enabled() {
-			t0 = time.Now()
-		}
 		tr := msbfs.New(c, width, false)
-		if sp.Enabled() {
-			tr.OnSwitch = func(level int, bottomUp bool) {
-				dir := int64(0)
-				if bottomUp {
-					dir = 1
-				}
-				switchMk.Emit(w, int64(level)<<1|dir)
-			}
-		}
+		wm := meter.Worker(w, tr)
 		cnt := make([]int64, n)
 		sum := make([]int64, n)
 		var done int64
 		for bi := w; bi < numBatches; bi += workers {
 			lo := bi * width
 			hi := min(lo+width, len(srcs))
-			if sp.Enabled() {
-				b0 := time.Now()
-				tr.Run(srcs[lo:hi])
-				batchNs.ObserveAt(w, time.Since(b0).Nanoseconds())
-				batchOcc.ObserveAt(w, int64(hi-lo))
-				batchMk.Emit(w, int64(hi-lo))
-				for d := 0; d < tr.NumLevels(); d++ {
-					nodes, _ := tr.Level(d)
-					levelWidth.ObserveAt(w, int64(len(nodes)))
-				}
-			} else {
-				tr.Run(srcs[lo:hi])
-			}
+			tr.Run(srcs[lo:hi])
 			// Level 0 contributes reach (each pivot counts itself) at
 			// distance 0; deeper levels contribute reach and distance.
 			nodes0, words0 := tr.Level(0)
@@ -112,18 +79,13 @@ func Closeness(g *graph.Graph, opt Options) []float64 {
 					sum[u] += dd * pc
 				}
 			}
+			wm.Batch(hi - lo)
 			done += int64(hi - lo)
 			sp.Done(1)
 		}
 		parts[w] = partial{cnt: cnt, sum: sum}
-		if sp.Enabled() {
-			st := tr.Stats()
-			srcCtr.AddAt(w, done)
-			batchCtr.AddAt(w, st.Batches)
-			wordCtr.AddAt(w, st.WordsScanned)
-			swCtr.AddAt(w, st.Switches)
-			sp.WorkerBusy(w, time.Since(t0))
-		}
+		srcCtr.AddAt(w, done)
+		wm.End()
 	})
 	cnt, sum := parts[0].cnt, parts[0].sum
 	for _, p := range parts[1:] {

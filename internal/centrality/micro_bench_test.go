@@ -36,8 +36,7 @@ func BenchmarkEdgeBetweennessSampled(b *testing.B) {
 // BenchmarkEdgeBetweennessExact, single worker so the comparison measures
 // the kernels rather than scheduling. CSRIndexed is whatever the public
 // entry point runs — today the batched MS-BFS engine — so this pair is the
-// cumulative production-vs-seed speedup, while the PerSource/MSBFS pairs
-// below isolate the batching win alone.
+// cumulative production-vs-seed speedup.
 
 func BenchmarkEdgeBetweennessMapIndexed(b *testing.B) {
 	g := gen.BarabasiAlbert(1000, 3, 1)
@@ -92,10 +91,11 @@ func BenchmarkCloseness(b *testing.B) {
 	}
 }
 
-// The PerSource/MSBFS pairs compare the replaced one-BFS-per-source
-// kernels against the bit-parallel batched engine, single worker on the
+// The Closeness PerSource/MSBFS pair compares the replaced one-BFS-per-node
+// kernel against the bit-parallel batched engine, single worker on the
 // same graph, so the speedup is the batching alone — traversal sharing and
-// word-level wavefronts, not scheduling.
+// word-level wavefronts, not scheduling. The MSBFS benchmarks below time
+// the batched betweenness kernels on the same footing.
 
 func BenchmarkClosenessPerSource(b *testing.B) {
 	g := gen.BarabasiAlbert(3000, 3, 1)
@@ -115,15 +115,6 @@ func BenchmarkClosenessMSBFS(b *testing.B) {
 	}
 }
 
-func BenchmarkNodeBetweennessPerSource(b *testing.B) {
-	g := gen.BarabasiAlbert(1000, 3, 1)
-	g.CSR()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		both(g, Options{Workers: 1}, true, false)
-	}
-}
-
 func BenchmarkNodeBetweennessMSBFS(b *testing.B) {
 	g := gen.BarabasiAlbert(1000, 3, 1)
 	g.CSR()
@@ -133,23 +124,8 @@ func BenchmarkNodeBetweennessMSBFS(b *testing.B) {
 	}
 }
 
-// The EdgeBetweennessScores pair compares the preserved per-source edge path
-// (persource.go) against the batched edge-dependency fold, single worker
-// on the same graph — the CRR Phase 1 scorer before and after. Same BA
-// shape and scale as the Closeness pair so the BFS-shaped kernels are
-// compared on one footing. (The stem is the API entry point's name; the
-// bare EdgeBetweenness stem already belongs to the MapIndexed/CSRIndexed
-// pair above.)
-
-func BenchmarkEdgeBetweennessScoresPerSource(b *testing.B) {
-	g := gen.BarabasiAlbert(3000, 3, 1)
-	g.CSR()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		PerSourceEdgeBetweennessScores(g, Options{Workers: 1})
-	}
-}
-
+// BenchmarkEdgeBetweennessScoresMSBFS times the CRR Phase 1 scorer, single
+// worker, on the Closeness pair's BA shape and scale.
 func BenchmarkEdgeBetweennessScoresMSBFS(b *testing.B) {
 	g := gen.BarabasiAlbert(3000, 3, 1)
 	g.CSR()

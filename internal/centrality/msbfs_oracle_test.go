@@ -475,6 +475,9 @@ func TestMSBFSKernelsBitIdenticalWithObs(t *testing.T) {
 					t.Fatalf("workers=%d batch=%d: counter %q missing or zero: %v", workers, batch, name, vals)
 				}
 			}
+			if vals["msbfs.topdown_levels"]+vals["msbfs.bottomup_levels"] == 0 {
+				t.Fatalf("workers=%d batch=%d: no MS-BFS levels recorded: %v", workers, batch, vals)
+			}
 			hists := rec.HistogramValues()
 			for _, name := range []string{"msbfs.batch_ns", "msbfs.batch_occupancy", "msbfs.level_width"} {
 				if hists[name] == nil || hists[name].Count == 0 {

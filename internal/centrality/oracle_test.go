@@ -1,15 +1,13 @@
 package centrality
 
-// This file preserves the pre-CSR (map-indexed) Brandes implementation as a
-// test oracle. The preserved per-source path (persource.go) accumulates
-// edge dependencies through graph.CSR edge ids; the oracle hashes a
-// map[graph.Edge]int32 per predecessor visit, exactly as the seed
-// implementation did. Both drivers assign sources to the same fixed
-// accumulation shards (source i into shard i mod par.Shards) and merge
-// partial sums in shard order, so the comparison is bit-exact, not
-// approximate. The production MS-BFS path sums in a different canonical
-// order and is pinned against this chain within float tolerance and
-// against its own serial oracles bit-exactly (msbfs_oracle_test.go).
+// This file preserves the seed's map-indexed per-source Brandes as a test
+// oracle: one BFS per source, a map[graph.Edge]int32 lookup per
+// predecessor visit, sources striped over par.Shards accumulation shards
+// (source i into shard i mod par.Shards) whose partial sums merge in shard
+// order. The production MS-BFS path sums in a different canonical order,
+// so TestBetweennessNearSeedOracle (msbfs_oracle_test.go) pins it to this
+// oracle within float tolerance, and its own canonical serial oracle pins
+// it bit-exactly.
 
 import (
 	"testing"
@@ -96,12 +94,9 @@ func (st *mapBrandesState) run(g *graph.Graph, s graph.NodeID, nodeAcc, edgeAcc 
 	}
 }
 
-// oracleBoth mirrors the production both() driver — same source selection,
-// same fixed accumulation shards, same merge and scaling order — over the
-// map-indexed oracle kernel. Shards run sequentially; since the shard
-// assignment is a function of the source index alone and partials merge in
-// shard order, the result is bit-identical to the concurrent production run
-// at any worker count.
+// oracleBoth is the seed driver over the map-indexed kernel: the
+// production source selection and scaling, with sources striped over fixed
+// accumulation shards that run sequentially and merge in shard order.
 func oracleBoth(g *graph.Graph, opt Options, wantNodes, wantEdges bool) ([]float64, []float64) {
 	n := g.NumNodes()
 	var nodes, edges []float64
@@ -165,53 +160,6 @@ func oracleBoth(g *graph.Graph, opt Options, wantNodes, wantEdges bool) ([]float
 		}
 	}
 	return nodes, edges
-}
-
-// TestCSRBrandesBitIdenticalToMapOracle is the migration property test: the
-// preserved CSR-indexed per-source path (persource.go) must reproduce the
-// seed map-indexed results bit for bit across generators, exact and sampled
-// modes, and worker counts. This keeps the oracle chain anchored — the
-// MS-BFS production path is compared against both() at float tolerance in
-// msbfs_oracle_test.go, and both() is pinned to the seed here.
-func TestCSRBrandesBitIdenticalToMapOracle(t *testing.T) {
-	graphs := []struct {
-		name string
-		g    *graph.Graph
-	}{
-		{"BA", gen.BarabasiAlbert(250, 3, 7)},
-		{"ER", gen.ErdosRenyi(250, 700, 11)},
-		{"WS", gen.WattsStrogatz(250, 6, 0.1, 13)},
-	}
-	modes := []struct {
-		name string
-		opt  Options
-	}{
-		{"exact", Options{}},
-		{"sampled", Options{Samples: 60, Seed: 3}},
-	}
-	for _, tg := range graphs {
-		for _, mode := range modes {
-			for _, workers := range []int{1, 4} {
-				opt := mode.opt
-				opt.Workers = workers
-				name := tg.name + "/" + mode.name
-				gotN, gotE := both(tg.g, opt, true, true)
-				wantN, wantE := oracleBoth(tg.g, opt, true, true)
-				for u := range wantN {
-					if gotN[u] != wantN[u] {
-						t.Fatalf("%s workers=%d node %d: CSR %v != oracle %v",
-							name, workers, u, gotN[u], wantN[u])
-					}
-				}
-				for i := range wantE {
-					if gotE[i] != wantE[i] {
-						t.Fatalf("%s workers=%d edge %d %v: CSR %v != oracle %v",
-							name, workers, i, tg.g.Edges()[i], gotE[i], wantE[i])
-					}
-				}
-			}
-		}
-	}
 }
 
 // TestBetweennessDeterministicAcrossRuns pins the static-striding guarantee:
@@ -296,10 +244,10 @@ func TestNegativeOptionsClamped(t *testing.T) {
 }
 
 // TestEmptyGraphPositiveSamples covers the Samples > 0 && |V| == 0 corner
-// both() now guards explicitly.
+// the batched driver guards explicitly.
 func TestEmptyGraphPositiveSamples(t *testing.T) {
 	var empty graph.Graph
-	nodes, edges := both(&empty, Options{Samples: 5, Workers: 3}, true, true)
+	nodes, edges := msbfsBetweenness(&empty, Options{Samples: 5, Workers: 3}, true, true)
 	if len(nodes) != 0 || len(edges) != 0 {
 		t.Errorf("empty graph: nodes=%v edges=%v, want empty", nodes, edges)
 	}

@@ -131,24 +131,9 @@ func BenchmarkResultDelta(b *testing.B) {
 	}
 }
 
-// The CRRReduceExact pair times a full exact-betweenness CRR reduction
-// with Phase 1 on the preserved per-source scorer versus the batched MS-BFS
-// edge-dependency fold, single worker, identical Phase 2. The gap between
-// the two is the CRR speedup the batched scorer buys in practice.
-
-func BenchmarkCRRReduceExactPerSource(b *testing.B) {
-	g := gen.BarabasiAlbert(1000, 4, 1)
-	g.CSR()
-	c := CRR{Seed: 1}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		scores := centrality.PerSourceEdgeBetweennessScores(g, centrality.Options{Workers: 1, Seed: c.Seed + 1})
-		if _, err := c.reduce(g, 0.5, scores, c.Seed, nil, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
+// BenchmarkCRRReduceExactMSBFS times a full exact-betweenness CRR
+// reduction, Phase 1 on the batched MS-BFS edge-dependency fold, single
+// worker.
 func BenchmarkCRRReduceExactMSBFS(b *testing.B) {
 	g := gen.BarabasiAlbert(1000, 4, 1)
 	g.CSR()

@@ -1,6 +1,6 @@
 // Package msbfs is the bit-parallel multi-source BFS engine behind the
 // repository's BFS-shaped kernels (closeness, the distance profile, and
-// sampled node betweenness).
+// node and edge betweenness).
 //
 // A Traversal runs up to 64 sources at once: every node carries one uint64
 // word whose bit s means "source s of the current batch has reached this
@@ -26,6 +26,10 @@
 // per-level node order; New's canonical flag sorts every level by node id
 // ascending so their summation order is a function of the graph and source
 // list alone. See DESIGN.md §10.
+//
+// Meter is the kernels' one observability path: it reports the engine's
+// tallies, per-batch histograms and flight markers under the same msbfs.*
+// names for every kernel, and costs nothing when observation is off.
 package msbfs
 
 import (
@@ -33,6 +37,7 @@ import (
 	"slices"
 
 	"edgeshed/internal/graph"
+	"edgeshed/internal/obs"
 )
 
 // MaxWidth is the largest batch width: one source per bit of the uint64
@@ -64,8 +69,8 @@ func Width(requested int) int {
 
 // Stats are the traversal's cumulative tallies across every Run, plain
 // local counters the engine always maintains (two integer adds per level,
-// nothing per edge) so reading them never perturbs a traversal. Consumers
-// fold them into observability counters only when instrumentation is live.
+// nothing per edge) so reading them never perturbs a traversal. A Meter
+// folds them into the msbfs.* counters when instrumentation is live.
 type Stats struct {
 	// Batches is the number of Run calls completed.
 	Batches int64
@@ -114,13 +119,11 @@ type Traversal struct {
 
 	stats Stats
 
-	// OnSwitch, when non-nil, is called at every direction switch with the
-	// level about to be expanded and the new direction (true = bottom-up).
-	// It is an observation seam — msbfs stays import-free of obs; kernels
-	// bind it to a flight-recorder marker when recording — and must not
-	// mutate traversal state: the engine's outputs are bit-identical with
-	// or without it.
-	OnSwitch func(level int, bottomUp bool)
+	// switchMk and slot are set by Meter.Worker: every direction switch is
+	// emitted on slot as level<<1|bottomUp. A nil marker (no Meter, or a
+	// disabled one) records nothing; either way the traversal is unchanged.
+	switchMk *obs.Marker
+	slot     int
 }
 
 // New returns a Traversal over c running width sources per batch (clamped
@@ -225,17 +228,11 @@ func (t *Traversal) Run(srcs []graph.NodeID) {
 		if !bottomUp {
 			if scoutSlots > remSlots/bfsAlpha {
 				bottomUp = true
-				t.stats.Switches++
-				if t.OnSwitch != nil {
-					t.OnSwitch(len(t.levelOff)-1, true)
-				}
+				t.switchTo(1)
 			}
 		} else if len(t.frontier) < n/bfsBeta {
 			bottomUp = false
-			t.stats.Switches++
-			if t.OnSwitch != nil {
-				t.OnSwitch(len(t.levelOff)-1, false)
-			}
+			t.switchTo(0)
 		}
 		if bottomUp {
 			t.stats.BottomUpLevels++
@@ -325,6 +322,14 @@ func (t *Traversal) Run(srcs []graph.NodeID) {
 		scoutSlots = t.finalize(full, &remSlots)
 	}
 	t.stats.Batches++
+}
+
+// switchTo tallies a direction switch before the level about to be
+// expanded, dir 1 for bottom-up and 0 for top-down, and emits it to the
+// flight recorder when a Meter attached one.
+func (t *Traversal) switchTo(dir int64) {
+	t.stats.Switches++
+	t.switchMk.Emit(t.slot, int64(len(t.levelOff)-1)<<1|dir)
 }
 
 // finalize installs the accumulated next frontier as the current one: it

@@ -6,6 +6,7 @@ import (
 
 	"edgeshed/internal/graph"
 	"edgeshed/internal/graph/gen"
+	"edgeshed/internal/obs"
 )
 
 // bfsDist is the reference: one textbook queue BFS, -1 for unreachable.
@@ -280,10 +281,12 @@ func TestRunRejectsBadBatches(t *testing.T) {
 	}
 }
 
-// TestOnSwitchCallback pins the observation seam: OnSwitch fires exactly
-// once per recorded direction switch with the current level and direction,
-// and a nil callback (the disabled-obs path) traverses identically.
-func TestOnSwitchCallback(t *testing.T) {
+// TestMeterDirSwitchEvents pins the Meter's flight path: a metered run emits
+// exactly one dir_switch event per Stats().Switches, each encoding the level
+// about to be expanded and the new direction as level<<1|bottomUp, the
+// engine counters equal Stats, and the metered traversal is bit-identical
+// to an unmetered one.
+func TestMeterDirSwitchEvents(t *testing.T) {
 	g := gen.BarabasiAlbert(500, 4, 9)
 	c := g.CSR()
 	srcs := make([]graph.NodeID, 64)
@@ -295,50 +298,105 @@ func TestOnSwitchCallback(t *testing.T) {
 	plain.Run(srcs)
 	want := levelDists(t, plain, len(srcs), c.NumNodes())
 
+	rec := obs.New("test")
 	tr := New(c, 64, false)
-	type sw struct {
-		level    int
-		bottomUp bool
-	}
-	var calls []sw
-	tr.OnSwitch = func(level int, bottomUp bool) {
-		calls = append(calls, sw{level, bottomUp})
-	}
+	wm := NewMeter(rec.Root(), "probe").Worker(3, tr)
 	tr.Run(srcs)
+	wm.Batch(len(srcs))
+	wm.End()
 
-	if int64(len(calls)) != tr.Stats().Switches {
-		t.Fatalf("OnSwitch fired %d times, Stats().Switches = %d", len(calls), tr.Stats().Switches)
+	var levels []int64
+	var bottomUp []bool
+	for _, e := range rec.Flight().Events() {
+		if e.Kind != "dir_switch" || e.Name != "probe" {
+			continue
+		}
+		if e.Slot != 3 {
+			t.Errorf("dir_switch on slot %d, want 3", e.Slot)
+		}
+		levels = append(levels, e.Arg>>1)
+		bottomUp = append(bottomUp, e.Arg&1 == 1)
 	}
-	if len(calls) == 0 {
+	st := tr.Stats()
+	if int64(len(levels)) != st.Switches {
+		t.Fatalf("%d dir_switch events, Stats().Switches = %d", len(levels), st.Switches)
+	}
+	if len(levels) == 0 {
 		t.Fatal("no switches on a dense 64-wide BA batch; the test exercises nothing")
 	}
 	// Directions alternate (each switch flips the mode) and the first one on
 	// a fresh batch is into bottom-up.
-	if !calls[0].bottomUp {
+	if !bottomUp[0] {
 		t.Errorf("first switch direction = top-down, want bottom-up")
 	}
-	for i := 1; i < len(calls); i++ {
-		if calls[i].bottomUp == calls[i-1].bottomUp {
-			t.Errorf("switch %d repeats direction %v", i, calls[i].bottomUp)
+	for i := 1; i < len(levels); i++ {
+		if bottomUp[i] == bottomUp[i-1] {
+			t.Errorf("switch %d repeats direction %v", i, bottomUp[i])
 		}
-		if calls[i].level <= calls[i-1].level {
-			t.Errorf("switch levels not increasing: %d then %d", calls[i-1].level, calls[i].level)
+		if levels[i] <= levels[i-1] {
+			t.Errorf("switch levels not increasing: %d then %d", levels[i-1], levels[i])
 		}
 	}
-	for _, s := range calls {
-		if s.level <= 0 || s.level >= tr.NumLevels() {
-			t.Errorf("switch at level %d outside (0, %d)", s.level, tr.NumLevels())
+	for _, l := range levels {
+		if l <= 0 || l >= int64(tr.NumLevels()) {
+			t.Errorf("switch at level %d outside (0, %d)", l, tr.NumLevels())
 		}
 	}
 
-	// The callback must not perturb the traversal: levels bit-identical to
-	// the un-observed run.
+	vals := rec.CounterValues()
+	for name, v := range map[string]int64{
+		"msbfs.batches_done":       st.Batches,
+		"msbfs.words_scanned":      st.WordsScanned,
+		"msbfs.direction_switches": st.Switches,
+		"msbfs.topdown_levels":     st.TopDownLevels,
+		"msbfs.bottomup_levels":    st.BottomUpLevels,
+	} {
+		if vals[name] != v {
+			t.Errorf("counter %s = %d, Stats say %d", name, vals[name], v)
+		}
+	}
+	hists := rec.HistogramValues()
+	if h := hists["msbfs.level_width"]; h == nil || h.Count != int64(tr.NumLevels()) {
+		t.Errorf("level_width histogram = %+v, want one observation per level (%d)", h, tr.NumLevels())
+	}
+	if h := hists["msbfs.batch_occupancy"]; h == nil || h.Count != 1 || h.Sum != int64(len(srcs)) {
+		t.Errorf("batch_occupancy histogram = %+v, want one batch of %d", h, len(srcs))
+	}
+
 	got := levelDists(t, tr, len(srcs), c.NumNodes())
 	for s := range got {
 		for u := range got[s] {
 			if got[s][u] != want[s][u] {
-				t.Fatalf("observed run diverged at source %d node %d: %d vs %d", s, u, got[s][u], want[s][u])
+				t.Fatalf("metered run diverged at source %d node %d: %d vs %d", s, u, got[s][u], want[s][u])
 			}
 		}
+	}
+}
+
+// TestMeterDisabledAllocatesNothing pins the disabled path: a nil span
+// yields a nil Meter whose WorkerMeters add no allocation to a steady-state
+// Run.
+func TestMeterDisabledAllocatesNothing(t *testing.T) {
+	m := NewMeter(nil, "probe")
+	if m != nil {
+		t.Fatal("NewMeter(nil) != nil")
+	}
+	g := gen.BarabasiAlbert(2000, 4, 1)
+	tr := New(g.CSR(), 64, false)
+	srcs := make([]graph.NodeID, 64)
+	for i := range srcs {
+		srcs[i] = graph.NodeID((i * 31) % 2000)
+	}
+	for i := 0; i < 3; i++ {
+		tr.Run(srcs)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		wm := m.Worker(0, tr)
+		tr.Run(srcs)
+		wm.Batch(len(srcs))
+		wm.End()
+	})
+	if allocs != 0 {
+		t.Errorf("%v allocs per disabled metered Run, want 0", allocs)
 	}
 }

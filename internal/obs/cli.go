@@ -394,7 +394,6 @@ func (s *Session) buildManifest(timeline []RuntimeSample) *Manifest {
 		Options:        flagValues(s.cliFlags()),
 		Spans:          s.rec.SpanTree(),
 		Counters:       s.rec.CounterValues(),
-		Gauges:         s.rec.GaugeValues(),
 		Histograms:     s.rec.HistogramValues(),
 		FlightEvents:   s.rec.Flight().Events(),
 		Mem:            memDelta(&s.memBefore, &after),

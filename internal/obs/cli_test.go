@@ -50,7 +50,6 @@ func TestSessionWritesManifest(t *testing.T) {
 	sp := s.Root().Start("load")
 	sp.End()
 	s.Root().Counter("events").Add(7)
-	s.Root().Gauge("level").Set(11)
 	s.SetGraph(100, 250)
 	s.SetSeed(42)
 	s.SetWorkers(3)
@@ -77,8 +76,8 @@ func TestSessionWritesManifest(t *testing.T) {
 	if m.Spans == nil || m.Spans.Name != "testcmd" || len(m.Spans.Children) != 1 || m.Spans.Children[0].Name != "load" {
 		t.Errorf("span tree = %+v", m.Spans)
 	}
-	if m.Counters["events"] != 7 || m.Gauges["level"] != 11 {
-		t.Errorf("counters/gauges = %v / %v", m.Counters, m.Gauges)
+	if m.Counters["events"] != 7 {
+		t.Errorf("counters = %v", m.Counters)
 	}
 	if m.Options["workers"] != "3" || m.Options["metrics"] != path {
 		t.Errorf("options = %v", m.Options)

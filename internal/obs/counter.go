@@ -65,40 +65,3 @@ func (c *Counter) Value() int64 {
 	}
 	return sum
 }
-
-// Gauge is an atomically-updated level: last write wins (Set), or a
-// running maximum (SetMax). Gauges are for values observed occasionally —
-// peak heap, resolved worker counts — so they are a single cell, not
-// sharded. A nil Gauge is the disabled state.
-type Gauge struct {
-	n atomic.Int64
-}
-
-// Set stores v. Nil-safe.
-func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
-	g.n.Store(v)
-}
-
-// SetMax raises the gauge to v if v is larger. Nil-safe.
-func (g *Gauge) SetMax(v int64) {
-	if g == nil {
-		return
-	}
-	for {
-		cur := g.n.Load()
-		if v <= cur || g.n.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
-// Value reads the gauge; a nil Gauge reads 0.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.n.Load()
-}

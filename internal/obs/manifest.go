@@ -11,7 +11,7 @@ import (
 // Manifest is the JSON run document a cmd binary emits with -metrics: the
 // run's identity (command, toolchain, host shape), its inputs (graph
 // size, options, seed, workers), and its observed behaviour (span tree,
-// counters, gauges, memory deltas, selected runtime metrics), so
+// counters, histograms, memory deltas, selected runtime metrics), so
 // experiment runs become diffable artifacts (cmd/obsreport).
 type Manifest struct {
 	// Command is the emitting binary's name (e.g. "shed").
@@ -45,8 +45,6 @@ type Manifest struct {
 	Spans *SpanNode `json:"spans,omitempty"`
 	// Counters holds every counter's merged final value.
 	Counters map[string]int64 `json:"counters,omitempty"`
-	// Gauges holds every gauge's final value.
-	Gauges map[string]int64 `json:"gauges,omitempty"`
 	// Histograms holds every histogram's merged bucket snapshot, the
 	// distributions `obsreport diff` compares by p50/p99.
 	Histograms map[string]*HistogramSnapshot `json:"histograms,omitempty"`

@@ -1,5 +1,5 @@
 // Package obs is the repository's observability layer: phase spans with
-// monotonic timings, sharded counters and gauges, runtime profile/trace
+// monotonic timings, sharded counters and histograms, runtime profile/trace
 // capture, and JSON run manifests — stdlib only, threaded through every
 // kernel and cmd binary.
 //
@@ -23,8 +23,9 @@
 //   - A Counter counts events — something that happens per item (sources
 //     completed, rewiring attempts accepted, queue operations). Counters
 //     are sharded so parallel workers never contend.
-//   - A Gauge records a level — a value observed, not accumulated (peak
-//     heap bytes, resolved worker count).
+//   - A Probe records a quality level — a float value observed, not
+//     accumulated (CRR's Δ trajectory, theorem-bound headroom; see
+//     quality.go and DESIGN.md §12). It is the package's one gauge kind.
 //   - A Histogram records a distribution — per-item values whose spread
 //     matters, not just their sum (per-batch BFS times, MS-BFS level
 //     widths, CRR delta magnitudes). Power-of-two buckets, sharded like
@@ -34,9 +35,9 @@
 //     per-worker rings, the raw material of the trace-event export and the
 //     panic dump (DESIGN.md §11).
 //
-// A Recorder owns one run's root span, counters and gauges, and snapshots
-// into a Manifest — the diffable JSON document every cmd binary can emit
-// via its -metrics flag (see CLI).
+// A Recorder owns one run's root span and metrics, and snapshots into a
+// Manifest — the diffable JSON document every cmd binary can emit via its
+// -metrics flag (see CLI).
 package obs
 
 import (
@@ -46,9 +47,9 @@ import (
 )
 
 // Recorder owns the instrumentation state of one run: the root span, the
-// counter and gauge registries, and the start time every span offset is
-// relative to. A nil Recorder is the disabled state: every method no-ops
-// (or returns a nil handle whose methods no-op) without allocating.
+// counter, histogram and probe registries, and the start time every span
+// offset is relative to. A nil Recorder is the disabled state: every method
+// no-ops (or returns a nil handle whose methods no-op) without allocating.
 type Recorder struct {
 	start  time.Time
 	root   *Span
@@ -56,7 +57,6 @@ type Recorder struct {
 
 	mu         sync.Mutex
 	counters   map[string]*Counter
-	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
 	probes     map[string]*Probe
 
@@ -74,7 +74,6 @@ func New(name string) *Recorder {
 	r := &Recorder{
 		start:      time.Now(),
 		counters:   make(map[string]*Counter),
-		gauges:     make(map[string]*Gauge),
 		histograms: make(map[string]*Histogram),
 		probes:     make(map[string]*Probe),
 	}
@@ -134,22 +133,6 @@ func (r *Recorder) Histogram(name string) *Histogram {
 	return h
 }
 
-// Gauge returns the named gauge, creating it on first use. Nil-safe like
-// Counter.
-func (r *Recorder) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
-}
-
 // CounterValues snapshots every registered counter as a name → merged-value
 // map. A nil or counter-less Recorder returns nil.
 func (r *Recorder) CounterValues() map[string]int64 {
@@ -164,24 +147,6 @@ func (r *Recorder) CounterValues() map[string]int64 {
 	out := make(map[string]int64, len(r.counters))
 	for name, c := range r.counters {
 		out[name] = c.Value()
-	}
-	return out
-}
-
-// GaugeValues snapshots every registered gauge as a name → value map. A nil
-// or gauge-less Recorder returns nil.
-func (r *Recorder) GaugeValues() map[string]int64 {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.gauges) == 0 {
-		return nil
-	}
-	out := make(map[string]int64, len(r.gauges))
-	for name, g := range r.gauges {
-		out[name] = g.Value()
 	}
 	return out
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // TestNilReceiversNoOp pins the disabled-state contract: every method on a
-// nil Recorder, Span, Counter and Gauge is a safe no-op, and handles
+// nil Recorder, Span, Counter and Histogram is a safe no-op, and handles
 // derived from nil receivers are themselves nil.
 func TestNilReceiversNoOp(t *testing.T) {
 	var r *Recorder
@@ -20,16 +20,13 @@ func TestNilReceiversNoOp(t *testing.T) {
 	if r.Counter("x") != nil {
 		t.Error("nil Recorder.Counter() != nil")
 	}
-	if r.Gauge("x") != nil {
-		t.Error("nil Recorder.Gauge() != nil")
-	}
 	if r.Histogram("x") != nil {
 		t.Error("nil Recorder.Histogram() != nil")
 	}
 	if r.Flight() != nil {
 		t.Error("nil Recorder.Flight() != nil")
 	}
-	if r.CounterValues() != nil || r.GaugeValues() != nil || r.HistogramValues() != nil || r.SpanTree() != nil {
+	if r.CounterValues() != nil || r.HistogramValues() != nil || r.SpanTree() != nil {
 		t.Error("nil Recorder snapshots != nil")
 	}
 	if r.Quality("x", DirLower) != nil {
@@ -48,7 +45,7 @@ func TestNilReceiversNoOp(t *testing.T) {
 	}
 	sp.End()
 	sp.WorkerBusy(3, time.Second)
-	if sp.Counter("x") != nil || sp.Gauge("x") != nil || sp.Histogram("x") != nil {
+	if sp.Counter("x") != nil || sp.Histogram("x") != nil {
 		t.Error("nil Span handle != nil")
 	}
 	if sp.Marker(EvBatch, "x") != nil {
@@ -70,13 +67,6 @@ func TestNilReceiversNoOp(t *testing.T) {
 	c.AddAt(7, 5)
 	if c.Value() != 0 {
 		t.Error("nil Counter.Value() != 0")
-	}
-
-	var g *Gauge
-	g.Set(5)
-	g.SetMax(9)
-	if g.Value() != 0 {
-		t.Error("nil Gauge.Value() != 0")
 	}
 
 	var h *Histogram
@@ -120,7 +110,6 @@ func disabledKernelPath(parent *Span) {
 	if d, tot := sp.Progress(); d != 0 || tot != 0 {
 		panic("nil span reported progress")
 	}
-	sp.Gauge("level").SetMax(42)
 	q := sp.Quality("delta", DirLower)
 	q.RecordAt(0, 0.5, 1.5)
 	q.Record(0.5, 2.5)
@@ -160,19 +149,14 @@ func TestCounterShardsMatchPar(t *testing.T) {
 func TestCounterConcurrentAdds(t *testing.T) {
 	r := New("test")
 	ctr := r.Counter("events")
-	gauge := r.Gauge("peak")
 	const workers, perWorker = 8, 10000
 	par.Run(workers, func(w int) {
 		for i := 0; i < perWorker; i++ {
 			ctr.AddAt(w, 1)
 		}
-		gauge.SetMax(int64(w))
 	})
 	if got := ctr.Value(); got != workers*perWorker {
 		t.Fatalf("counter = %d, want %d", got, workers*perWorker)
-	}
-	if got := gauge.Value(); got != workers-1 {
-		t.Fatalf("gauge max = %d, want %d", got, workers-1)
 	}
 	if vals := r.CounterValues(); vals["events"] != workers*perWorker {
 		t.Fatalf("CounterValues = %v", vals)

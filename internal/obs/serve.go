@@ -17,7 +17,7 @@ import (
 // -debug-addr flag, see CLI) that exposes the run's Recorder while it is
 // still running — the counterpart of the post-mortem manifest. Endpoints:
 //
-//	/metrics        live counters, gauges, histograms and runtime/metrics
+//	/metrics        live counters, quality gauges, histograms, runtime/metrics
 //	                in Prometheus text exposition format
 //	/progress       the live span tree as JSON, with elapsed times, unit
 //	                progress and ETAs
@@ -97,10 +97,12 @@ func progressSnapshot(rec *Recorder) *ProgressSnapshot {
 	}
 }
 
-// metricHelp maps internal metric names (counter/gauge/histogram registry
-// keys) to their # HELP text. Metrics not listed fall back to a generic
-// line; keeping the registry here — not at every call site — means one
-// place to scan for the exposition vocabulary.
+// metricHelp maps internal metric names (counter, histogram and quality
+// probe registry keys) to their # HELP text. Metrics not listed fall back
+// to a generic line; keeping the registry here — not at every call site —
+// means one place to scan for the exposition vocabulary. The metric-name
+// lint (metriclint_test.go) fails on any literal name a non-test call site
+// registers without an entry here.
 var metricHelp = map[string]string{
 	"betweenness.sources_done":   "Brandes/MS-BFS betweenness source vertices completed.",
 	"bm2.avg_dis":                "BM2 achieved average degree discrepancy per node.",
@@ -111,10 +113,7 @@ var metricHelp = map[string]string{
 	"bm2.kept_edges":             "Edges kept by the BM2 reduction.",
 	"bm2.kept_fraction":          "Fraction of input edges kept by the BM2 reduction.",
 	"bm2.matching_weight":        "Cumulative BM2 Phase 2 matching weight popped so far.",
-	"bfs.bottomup_levels":        "BFS levels expanded bottom-up.",
-	"bfs.direction_switches":     "BFS direction-optimizing switches.",
-	"bfs.sources_done":           "BFS source vertices completed.",
-	"bfs.topdown_levels":         "BFS levels expanded top-down.",
+	"bfs.sources_done":           "Distance-profile BFS source vertices completed.",
 	"brandes.edge_folds":         "Edge-dependency fold operations in batched Brandes.",
 	"claims.checked":             "Paper claims checked.",
 	"claims.failed":              "Paper claims that failed verification.",
@@ -135,17 +134,17 @@ var metricHelp = map[string]string{
 	"flatpq.pushes":              "Flat priority-queue push operations.",
 	"flatpq.removes":             "Flat priority-queue remove operations.",
 	"flatpq.updates":             "Flat priority-queue update operations.",
-	"graph.edges":                "Input graph edge count.",
-	"heap_alloc_bytes":           "Live heap bytes at sample time.",
 	"ingest.bytes":               "Input bytes ingested.",
 	"ingest.edges":               "Edges ingested.",
 	"ingest.lines":               "Input lines ingested.",
 	"msbfs.batch_ns":             "Wall time per MS-BFS source batch, in nanoseconds.",
 	"msbfs.batch_occupancy":      "Source bits carried per MS-BFS batch.",
 	"msbfs.batches_done":         "MS-BFS source batches traversed.",
-	"msbfs.direction_switches":   "MS-BFS direction switches.",
-	"msbfs.level_width":          "Frontier words scanned per MS-BFS level.",
-	"msbfs.words_scanned":        "MS-BFS frontier words scanned.",
+	"msbfs.bottomup_levels":      "MS-BFS levels expanded bottom-up.",
+	"msbfs.direction_switches":   "MS-BFS direction-optimizing switches.",
+	"msbfs.level_width":          "Nodes first reached per MS-BFS level.",
+	"msbfs.topdown_levels":       "MS-BFS levels expanded top-down.",
+	"msbfs.words_scanned":        "MS-BFS adjacency slots scanned.",
 	"pack.bytes.out":             "Packed CSR bytes written.",
 	"pack.spill.chunks":          "External-sort spill chunks written.",
 	"pack.spill.keys":            "External-sort keys spilled.",
@@ -194,11 +193,11 @@ func uniqueMetricNames(names []string, prefix, suffix string) map[string]string 
 }
 
 // writeMetrics renders the Prometheus text exposition: every Recorder
-// counter as an edgeshed_*_total counter, every gauge as an edgeshed_*
-// gauge, every histogram as an edgeshed_* histogram family (cumulative
-// power-of-two buckets), and the curated runtime/metrics set as go_*
-// gauges — each family with # HELP and # TYPE lines. Families are emitted
-// in sorted name order so consecutive scrapes diff cleanly.
+// counter as an edgeshed_*_total counter, every quality probe as an
+// edgeshed_quality_* gauge, every histogram as an edgeshed_* histogram
+// family (cumulative power-of-two buckets), and the curated runtime/metrics
+// set as go_* gauges — each family with # HELP and # TYPE lines. Families
+// are emitted in sorted name order so consecutive scrapes diff cleanly.
 func writeMetrics(w http.ResponseWriter, rec *Recorder) {
 	if rec != nil {
 		fmt.Fprintf(w, "# HELP edgeshed_run_info %s\n", helpFor("run_info"))
@@ -208,12 +207,6 @@ func writeMetrics(w http.ResponseWriter, rec *Recorder) {
 		for _, name := range sortedKeys(counters) {
 			m := counterFams[name]
 			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", m, helpFor(name), m, m, counters[name])
-		}
-		gauges := rec.GaugeValues()
-		gaugeFams := uniqueMetricNames(sortedKeys(gauges), "edgeshed_", "")
-		for _, name := range sortedKeys(gauges) {
-			m := gaugeFams[name]
-			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", m, helpFor(name), m, m, gauges[name])
 		}
 		quals := rec.QualityValues()
 		qualFams := uniqueMetricNames(sortedFloatKeys(quals), "edgeshed_quality_", "")

@@ -41,7 +41,6 @@ func get(t *testing.T, url string) (string, *http.Response) {
 func TestDebugHandlerEndpoints(t *testing.T) {
 	rec := obs.New("shed")
 	rec.Counter("crr.rewire.attempts").Add(123)
-	rec.Gauge("graph.edges").Set(500)
 	sp := rec.Root().Start("crr.sweep")
 	sp.SetTotal(10)
 	sp.Done(4)
@@ -61,8 +60,6 @@ func TestDebugHandlerEndpoints(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE edgeshed_crr_rewire_attempts_total counter",
 		"edgeshed_crr_rewire_attempts_total 123",
-		"# TYPE edgeshed_graph_edges gauge",
-		"edgeshed_graph_edges 500",
 		`edgeshed_run_info{command="shed"} 1`,
 		"go_sched_gomaxprocs_threads",
 	} {

@@ -148,14 +148,6 @@ func (s *Span) Histogram(name string) *Histogram {
 	return s.rec.Histogram(name)
 }
 
-// Gauge returns the named gauge of the span's Recorder. Nil-safe.
-func (s *Span) Gauge(name string) *Gauge {
-	if s == nil {
-		return nil
-	}
-	return s.rec.Gauge(name)
-}
-
 // SpanNode is the serializable form of one span: offsets and durations in
 // nanoseconds, per-worker busy time for parallel regions, and children in
 // start order. The JSON encoding round-trips losslessly, so manifests can

@@ -93,7 +93,8 @@ func TestSuiteBitIdenticalWithObs(t *testing.T) {
 			t.Fatalf("workers=%d: span tree shape %+v", workers, tree)
 		}
 		vals := rec.CounterValues()
-		if vals["bfs.sources_done"] == 0 || vals["betweenness.sources_done"] == 0 || vals["pagerank.iterations"] == 0 {
+		if vals["bfs.sources_done"] == 0 || vals["betweenness.sources_done"] == 0 ||
+			vals["msbfs.batches_done"] == 0 || vals["pagerank.iterations"] == 0 {
 			t.Fatalf("workers=%d: kernel counters missing: %v", workers, vals)
 		}
 		// PR-9 surfaces: the MS-BFS kernels under the suite feed the batch
