@@ -35,8 +35,11 @@ type Options struct {
 	// negative value is likewise treated as GOMAXPROCS. Sources accumulate
 	// into par.Shards fixed shards (contiguous blocks of the source list)
 	// that merge in shard order, so the scores are bit-identical at ANY
-	// worker count, not just deterministic per count. Parallelism is
-	// therefore capped at par.Shards workers.
+	// worker count, not just deterministic per count. Workers take groups
+	// of consecutive shards by stride; when shards are narrower than a
+	// batch, one group fills one traversal, with as many groups as keep
+	// every worker busy. Parallelism is therefore capped at par.Shards
+	// workers.
 	Workers int
 	// Seed drives source sampling; ignored when exact.
 	Seed int64

@@ -16,8 +16,10 @@ package centrality
 //   - sources keep a fixed par.Shards accumulation discipline: the source
 //     list is put in a canonical locality order (a pure function of the
 //     graph — see orderSourcesByLocality), split into par.Shards contiguous
-//     blocks, each block batched and folded IN ORDER by one owner, and the
-//     shard partials merge in shard index order.
+//     blocks, each block folded IN ORDER by one owner, and the shard
+//     partials merge in shard index order. One batch may carry several
+//     consecutive shards' sources; each shard's bits fold into that shard's
+//     own partial.
 //
 // Batch bits never mix — per-bit arithmetic is independent of how sources
 // are grouped into batches — and the per-shard folds add each source's
@@ -140,12 +142,27 @@ func newBatchedBrandes(c *graph.CSR, width int, wantEdges bool) *batchedBrandes 
 	return st
 }
 
-// run traverses one batch and folds every source's dependencies into
-// nodeAcc (per node) and edgeAcc (per canonical edge id), either of which
-// may be nil: forward sigma pull per level ascending, backward delta push
-// per level descending, both in the canonical order the package comment
-// describes, then touched-rows-only folds and clears.
-func (st *batchedBrandes) run(srcs []graph.NodeID, nodeAcc, edgeAcc []float64) {
+// shardRange is the slice of one batch that belongs to one accumulation
+// shard: batch bits [lo, hi), whose dependencies fold into the shard's
+// partials nodes (per node) and edges (per canonical edge id). A batch's
+// ranges are contiguous, ascending and cover bits [0, nb); either partial
+// may be nil, consistently across the ranges.
+type shardRange struct {
+	lo, hi       int
+	nodes, edges []float64
+}
+
+// mask returns the range's batch bits as a word.
+func (r *shardRange) mask() uint64 {
+	return ^uint64(0) >> uint(64-(r.hi-r.lo)) << uint(r.lo)
+}
+
+// run traverses one batch and folds every source's dependencies into its
+// own shard's partials, as ranges assigns the batch bits: forward sigma
+// pull per level ascending, backward delta push per level descending, both
+// in the canonical order the package comment describes, then
+// touched-rows-only folds and clears.
+func (st *batchedBrandes) run(srcs []graph.NodeID, ranges []shardRange) {
 	tr, W := st.tr, st.width
 	tr.Run(srcs)
 	offsets, targets := st.c.Offsets, st.c.Targets
@@ -204,12 +221,12 @@ func (st *batchedBrandes) run(srcs []graph.NodeID, nodeAcc, edgeAcc []float64) {
 	// every (node, bit) slot the additions happen in ascending successor
 	// order — the order the serial canonical oracle replays. The edge
 	// variant additionally records each slot's crossing bits for the fold.
-	if edgeAcc != nil {
-		st.backwardEdges(numLevels, nb, full, nodeAcc == nil)
-		st.foldEdges(nb, nodeAcc, edgeAcc)
+	if ranges[0].edges != nil {
+		st.backwardEdges(numLevels, nb, full, ranges[0].nodes == nil)
+		st.foldEdges(nb, ranges)
 	} else {
 		st.backward(numLevels, nb, full)
-		st.foldNodes(nb, nodeAcc)
+		st.foldNodes(nb, ranges)
 	}
 	for _, s := range srcs {
 		st.srcMask[s] = 0
@@ -329,12 +346,13 @@ func (st *batchedBrandes) backwardEdges(numLevels, nb int, full uint64, inplace 
 	}
 }
 
-// foldNodes folds visited rows into acc — node-outer, bit-inner ascending,
-// so each node receives its per-source contributions in shard-source order
+// foldNodes folds visited rows into their shards' partials — node-outer,
+// bit-inner ascending, each bit into its own range's partial, so each node
+// receives every shard's per-source contributions in shard-source order
 // regardless of batch width (unreached slots add +0.0, a bitwise no-op on
 // the non-negative accumulator) — and clears them for the next batch. Only
 // the first nb slots of a row are ever written.
-func (st *batchedBrandes) foldNodes(nb int, acc []float64) {
+func (st *batchedBrandes) foldNodes(nb int, ranges []shardRange) {
 	W := st.width
 	sigma, delta := st.sigma, st.delta
 	visit := st.tr.Visit()
@@ -342,16 +360,27 @@ func (st *batchedBrandes) foldNodes(nb int, acc []float64) {
 		if vw == 0 {
 			continue
 		}
-		srow := sigma[u*W : u*W+W]
-		drow := delta[u*W : u*W+W]
-		skip := st.srcMask[u]
-		for s := 0; s < nb; s++ {
+		srow := sigma[u*W : u*W+nb]
+		drow := delta[u*W : u*W+nb]
+		st.foldNodeRow(u, drow, ranges)
+		clear(srow)
+		clear(drow)
+	}
+}
+
+// foldNodeRow adds node u's dependency row into its shards' partials, bits
+// ascending, skipping u's own source bits.
+func (st *batchedBrandes) foldNodeRow(u int, drow []float64, ranges []shardRange) {
+	skip := st.srcMask[u]
+	for i := range ranges {
+		r := &ranges[i]
+		acc := r.nodes[u]
+		for s := r.lo; s < r.hi; s++ {
 			if skip>>uint(s)&1 == 0 {
-				acc[u] += drow[s]
+				acc += drow[s]
 			}
-			srow[s] = 0
-			drow[s] = 0
 		}
+		r.nodes[u] = acc
 	}
 }
 
@@ -370,35 +399,36 @@ func (st *batchedBrandes) foldNodes(nb int, acc []float64) {
 // ascending, sigma(pred)·coeff(succ) into the slot's canonical edge id.
 // The union of the slot's mask and its mate's covers every source whose
 // dependency crossed the edge in either direction, each exactly once, so
-// per edge the terms arrive in shard-source order at any batch width.
+// per edge the terms arrive in shard-source order at any batch width. Each
+// range's bits fold into that range's shard partial, so a batch spanning
+// several shards keeps every shard's order intact.
 // Scratch is retired in the same pass: both slot words are cleared when an
 // edge is folded, and a node's rows are cleared when its slots are done —
 // safe because iteration u only reads rows of u and of neighbors above it.
-func (st *batchedBrandes) foldEdges(nb int, nodeAcc, edgeAcc []float64) {
+func (st *batchedBrandes) foldEdges(nb int, ranges []shardRange) {
 	W := st.width
 	c := st.c
 	offsets, targets, edgeID, mate := c.Offsets, c.Targets, c.EdgeID, c.Mate
 	sigma, delta, slotMask := st.sigma, st.delta, st.slotMask
 	visit := st.tr.Visit()
-	if nodeAcc != nil {
+	if ranges[0].nodes != nil {
 		for u, vw := range visit {
 			if vw == 0 {
 				continue
 			}
 			srow := sigma[u*W : u*W+W]
 			drow := delta[u*W : u*W+W]
-			skip := st.srcMask[u]
-			for s := 0; s < nb; s++ {
-				if skip>>uint(s)&1 == 0 {
-					nodeAcc[u] += drow[s]
-				}
-			}
+			st.foldNodeRow(u, drow, ranges)
 			for m := vw; m != 0; {
 				s := bits.TrailingZeros64(m)
 				m &= m - 1
 				drow[s] = (1 + drow[s]) / srow[s]
 			}
 		}
+	}
+	var masks [64]uint64
+	for i := range ranges {
+		masks[i] = ranges[i].mask()
 	}
 	folds := int64(0)
 	for u, vw := range visit {
@@ -418,43 +448,52 @@ func (st *batchedBrandes) foldEdges(nb int, nodeAcc, edgeAcc []float64) {
 			}
 			m1 := slotMask[k]       // bits where u is the successor (v → u crossing)
 			m2 := slotMask[mate[k]] // bits where v is the successor (u → v crossing)
-			un := m1 | m2
-			if un == 0 {
+			if m1|m2 == 0 {
 				continue
 			}
 			e := edgeID[k]
 			vsig := sigma[int(v)*W : int(v)*W+W]
 			vcoe := delta[int(v)*W : int(v)*W+W]
-			acc := edgeAcc[e]
-			// Locality-ordered batches mostly agree on an edge's direction
-			// (which endpoint is deeper), so the single-direction cases get
-			// branch-free loops. All three walk the same bits ascending and
-			// add the same per-bit term, so the sums are bit-identical.
-			switch {
-			case m2 == 0:
-				for un != 0 {
-					s := bits.TrailingZeros64(un)
-					un &= un - 1
-					acc += vsig[s] * ucoe[s]
+			for i, rest := 0, m1|m2; rest != 0; i++ {
+				mk := masks[i]
+				r1, r2 := m1&mk, m2&mk
+				un := r1 | r2
+				if un == 0 {
+					continue
 				}
-			case m1 == 0:
-				for un != 0 {
-					s := bits.TrailingZeros64(un)
-					un &= un - 1
-					acc += usig[s] * vcoe[s]
-				}
-			default:
-				for un != 0 {
-					s := bits.TrailingZeros64(un)
-					un &= un - 1
-					if m1>>uint(s)&1 != 0 {
+				rest &^= mk
+				acc := ranges[i].edges[e]
+				// Locality-ordered batches mostly agree on an edge's
+				// direction (which endpoint is deeper), so the
+				// single-direction cases get branch-free loops. All three
+				// walk the same bits ascending and add the same per-bit
+				// term, so the sums are bit-identical.
+				switch {
+				case r2 == 0:
+					for un != 0 {
+						s := bits.TrailingZeros64(un)
+						un &= un - 1
 						acc += vsig[s] * ucoe[s]
-					} else {
+					}
+				case r1 == 0:
+					for un != 0 {
+						s := bits.TrailingZeros64(un)
+						un &= un - 1
 						acc += usig[s] * vcoe[s]
 					}
+				default:
+					for un != 0 {
+						s := bits.TrailingZeros64(un)
+						un &= un - 1
+						if r1>>uint(s)&1 != 0 {
+							acc += vsig[s] * ucoe[s]
+						} else {
+							acc += usig[s] * vcoe[s]
+						}
+					}
 				}
+				ranges[i].edges[e] = acc
 			}
-			edgeAcc[e] = acc
 			folds += int64(bits.OnesCount64(m1 | m2))
 			slotMask[k] = 0
 			slotMask[mate[k]] = 0
@@ -469,25 +508,25 @@ func (st *batchedBrandes) foldEdges(nb int, nodeAcc, edgeAcc []float64) {
 
 // msbfsBetweenness is the batched driver behind NodeBetweenness,
 // EdgeBetweennessScores and Betweenness: Options.sources picks the sources,
-// the locality order splits them into par.Shards contiguous blocks, each
-// block is batched in order through one worker's MS-BFS Brandes state, and
-// the block partials merge in block order before scaling.
+// the locality order splits them into par.Shards contiguous blocks, and the
+// blocks merge in block order before scaling.
+//
+// The unit of work is a shard group: k consecutive shards, k as large as
+// fits one batch (when shards are narrower than a batch) without leaving a
+// worker idle. Groups go to workers by stride; a worker batches a group's
+// sources in order, each batch split into one bit range per shard it
+// touches, so a batch carries several shards' sources while each shard
+// still folds its own sources in order into its own partial. Grouping only
+// decides which sources share a traversal, never a summation order.
 func msbfsBetweenness(g *graph.Graph, opt Options, wantNodes, wantEdges bool) ([]float64, []float64) {
-	n := g.NumNodes()
-	var nodes, edges []float64
-	if wantNodes {
-		nodes = make([]float64, n)
-	}
-	if wantEdges {
-		edges = make([]float64, g.NumEdges())
-	}
+	n, m := g.NumNodes(), g.NumEdges()
 	if n == 0 {
 		// Defensive: nothing to traverse regardless of Samples/Workers.
-		return nodes, edges
+		return zeros(wantNodes, n), zeros(wantEdges, m)
 	}
 	srcs, scale := opt.sources(n)
 	if len(srcs) == 0 {
-		return nodes, edges
+		return zeros(wantNodes, n), zeros(wantEdges, m)
 	}
 	c := g.CSR()
 	orderSourcesByLocality(c, srcs)
@@ -497,64 +536,80 @@ func msbfsBetweenness(g *graph.Graph, opt Options, wantNodes, wantEdges bool) ([
 		shards = len(srcs)
 	}
 	workers := par.Workers(opt.Workers, shards)
+	// No shard holds more than perShard sources, so k of them fit one batch;
+	// k <= shards/workers keeps at least one group per worker.
+	perShard := (len(srcs) + shards - 1) / shards
+	k := max(1, min(width/perShard, shards/workers))
+	groups := (shards + k - 1) / k
 	sp := opt.Obs.Start("betweenness")
 	defer sp.End()
 	sp.SetTotal(int64(len(srcs)))
 	srcCtr := sp.Counter("betweenness.sources_done")
 	foldCtr := sp.Counter("brandes.edge_folds")
 	meter := msbfs.NewMeter(sp, "betweenness")
-	type partial struct {
-		nodes, edges []float64
-	}
-	parts := make([]partial, shards)
+	nodeParts := make([][]float64, shards)
+	edgeParts := make([][]float64, shards)
 	par.Run(workers, func(w int) {
 		var done int64
+		var ranges []shardRange
 		st := newBatchedBrandes(c, width, wantEdges)
 		wm := meter.Worker(w, st.tr)
-		for k := w; k < shards; k += workers {
-			var nodeAcc, edgeAcc []float64
-			if wantNodes {
-				nodeAcc = make([]float64, n)
+		for gi := w; gi < groups; gi += workers {
+			first, last := gi*k, min(gi*k+k, shards)
+			for s := first; s < last; s++ {
+				nodeParts[s] = zeros(wantNodes, n)
+				edgeParts[s] = zeros(wantEdges, m)
 			}
-			if wantEdges {
-				edgeAcc = make([]float64, g.NumEdges())
-			}
-			blo, bhi := par.Block(len(srcs), shards, k)
-			shardSrcs := srcs[blo:bhi]
-			for lo := 0; lo < len(shardSrcs); lo += width {
-				hi := min(lo+width, len(shardSrcs))
-				st.run(shardSrcs[lo:hi], nodeAcc, edgeAcc)
+			glo, _ := par.Block(len(srcs), shards, first)
+			_, ghi := par.Block(len(srcs), shards, last-1)
+			for lo := glo; lo < ghi; lo += width {
+				hi := min(lo+width, ghi)
+				ranges = ranges[:0]
+				for s := first; s < last; s++ {
+					blo, bhi := par.Block(len(srcs), shards, s)
+					if blo, bhi = max(blo, lo), min(bhi, hi); blo < bhi {
+						ranges = append(ranges, shardRange{
+							lo: blo - lo, hi: bhi - lo,
+							nodes: nodeParts[s], edges: edgeParts[s],
+						})
+					}
+				}
+				st.run(srcs[lo:hi], ranges)
 				wm.Batch(hi - lo)
 				done += int64(hi - lo)
 				sp.Done(int64(hi - lo))
 			}
-			parts[k] = partial{nodes: nodeAcc, edges: edgeAcc}
 		}
 		srcCtr.AddAt(w, done)
 		foldCtr.AddAt(w, st.edgeFolds)
 		wm.End()
 	})
-	if wantNodes {
-		for _, p := range parts {
-			for i, v := range p.nodes {
-				nodes[i] += v
-			}
-		}
-		// Each unordered pair is seen from both endpoints in an exact run:
-		// halve. Sampled runs estimate the same quantity via scale/2.
-		for i := range nodes {
-			nodes[i] *= scale / 2
+	return mergeShards(nodeParts, scale), mergeShards(edgeParts, scale)
+}
+
+// zeros returns a zeroed slice of size floats when want is set, else nil.
+func zeros(want bool, size int) []float64 {
+	if !want {
+		return nil
+	}
+	return make([]float64, size)
+}
+
+// mergeShards sums the shard partials into parts[0] in shard order and
+// scales the total; nil partials (an unwanted accumulator) give nil. Adding
+// into the first partial instead of a fresh zeroed array gives the same
+// bits — 0 + x is exact for the non-negative partials — at one array less.
+func mergeShards(parts [][]float64, scale float64) []float64 {
+	acc := parts[0]
+	for _, p := range parts[1:] {
+		for i, v := range p {
+			acc[i] += v
 		}
 	}
-	if wantEdges {
-		for _, p := range parts {
-			for i, v := range p.edges {
-				edges[i] += v
-			}
-		}
-		for i := range edges {
-			edges[i] *= scale / 2
-		}
+	// Each unordered pair is seen from both endpoints in an exact run:
+	// halve. Sampled runs estimate the same quantity via scale/2.
+	for i := range acc {
+		acc[i] *= scale / 2
 	}
-	return nodes, edges
+	return acc
 }

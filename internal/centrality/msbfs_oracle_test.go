@@ -305,6 +305,7 @@ func TestNodeBetweennessBitIdenticalToCanonicalOracle(t *testing.T) {
 	}{
 		{"exact", Options{}},
 		{"sampled", Options{Samples: 60, Seed: 3}},
+		{"sampled-100", Options{Samples: 100, Seed: 3}},
 	}
 	for _, tg := range propertyGraphs() {
 		for _, mode := range modes {
@@ -340,6 +341,7 @@ func TestEdgeBetweennessBitIdenticalToCanonicalOracle(t *testing.T) {
 	}{
 		{"exact", Options{}},
 		{"sampled", Options{Samples: 60, Seed: 3}},
+		{"sampled-100", Options{Samples: 100, Seed: 3}},
 	}
 	for _, tg := range propertyGraphs() {
 		for _, mode := range modes {
@@ -487,6 +489,26 @@ func TestMSBFSKernelsBitIdenticalWithObs(t *testing.T) {
 			if len(rec.Flight().Events()) == 0 {
 				t.Fatalf("workers=%d batch=%d: flight ring stayed empty", workers, batch)
 			}
+		}
+	}
+}
+
+// TestSampledBetweennessFillsBatches pins shard grouping: 256 sampled
+// sources make 16-source shards, so four consecutive shards share each
+// 64-wide traversal — four full batches rather than sixteen quarter-full
+// ones, at one worker and at two.
+func TestSampledBetweennessFillsBatches(t *testing.T) {
+	g := gen.BarabasiAlbert(300, 3, 11)
+	for _, workers := range []int{1, 2} {
+		rec := obs.New("test")
+		EdgeBetweennessScores(g, Options{Samples: 256, Seed: 5, Workers: workers, Obs: rec.Root()})
+		rec.Root().End()
+		if got := rec.CounterValues()["msbfs.batches_done"]; got != 4 {
+			t.Fatalf("workers=%d: msbfs.batches_done = %d, want 4", workers, got)
+		}
+		occ := rec.HistogramValues()["msbfs.batch_occupancy"]
+		if occ == nil || occ.Count != 4 || occ.Sum != 4*64 {
+			t.Fatalf("workers=%d: msbfs.batch_occupancy = %+v, want 4 observations of 64", workers, occ)
 		}
 	}
 }

@@ -396,37 +396,41 @@ func TestCRRSweepBitIdenticalAcrossWorkerCounts(t *testing.T) {
 // MS-BFS Batch width of the betweenness kernel must reproduce the baseline
 // reduction edge for edge — the knobs regroup Phase 1's traversals without
 // moving one score bit, so the ranking, tie-breaks and Phase 2 rng stream
-// are untouched.
+// are untouched. The sampled mode is the pipeline benchmark's shape: 256
+// sources, 16 per shard, so several shards share one traversal.
 func TestCRRReduceBitIdenticalAcrossWorkersAndBatch(t *testing.T) {
 	g := gen.BarabasiAlbert(300, 3, 31)
-	base := CRR{Seed: 5, Steps: 200}
-	want, err := base.Reduce(g, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantEdges := want.Reduced.Edges()
-	for _, workers := range []int{1, 2, 4, 7} {
-		for _, batch := range []int{1, 8, 64} {
-			c := base
-			c.Betweenness = centrality.Options{Workers: workers, Batch: batch}
-			got, err := c.Reduce(g, 0.5)
-			if err != nil {
-				t.Fatalf("workers=%d batch=%d: %v", workers, batch, err)
-			}
-			gotEdges := got.Reduced.Edges()
-			if len(gotEdges) != len(wantEdges) {
-				t.Fatalf("workers=%d batch=%d: |E'| = %d, want %d",
-					workers, batch, len(gotEdges), len(wantEdges))
-			}
-			for i := range wantEdges {
-				if gotEdges[i] != wantEdges[i] {
-					t.Fatalf("workers=%d batch=%d: kept edge %d = %v, want %v",
-						workers, batch, i, gotEdges[i], wantEdges[i])
+	for _, samples := range []int{0, 256} {
+		base := CRR{Seed: 5, Steps: 200, Betweenness: centrality.Options{Samples: samples, Seed: 9}}
+		want, err := base.Reduce(g, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantEdges := want.Reduced.Edges()
+		for _, workers := range []int{1, 2, 4, 7} {
+			for _, batch := range []int{1, 8, 64} {
+				c := base
+				c.Betweenness.Workers = workers
+				c.Betweenness.Batch = batch
+				got, err := c.Reduce(g, 0.5)
+				if err != nil {
+					t.Fatalf("samples=%d workers=%d batch=%d: %v", samples, workers, batch, err)
 				}
-			}
-			if got.Delta() != want.Delta() {
-				t.Fatalf("workers=%d batch=%d: Δ = %v, want %v",
-					workers, batch, got.Delta(), want.Delta())
+				gotEdges := got.Reduced.Edges()
+				if len(gotEdges) != len(wantEdges) {
+					t.Fatalf("samples=%d workers=%d batch=%d: |E'| = %d, want %d",
+						samples, workers, batch, len(gotEdges), len(wantEdges))
+				}
+				for i := range wantEdges {
+					if gotEdges[i] != wantEdges[i] {
+						t.Fatalf("samples=%d workers=%d batch=%d: kept edge %d = %v, want %v",
+							samples, workers, batch, i, gotEdges[i], wantEdges[i])
+					}
+				}
+				if got.Delta() != want.Delta() {
+					t.Fatalf("samples=%d workers=%d batch=%d: Δ = %v, want %v",
+						samples, workers, batch, got.Delta(), want.Delta())
+				}
 			}
 		}
 	}

@@ -29,8 +29,9 @@ import (
 )
 
 // Shards is the fixed accumulation-shard count for deterministic
-// floating-point reductions: item i always accumulates into shard
-// i mod Shards, whatever the worker count, and per-shard partials merge in
+// floating-point reductions: item i always accumulates into the same shard,
+// whatever the worker count — betweenness gives shard k the contiguous
+// Block(n, Shards, k) of its source list — and per-shard partials merge in
 // shard index order. Kernels that shard this way cannot exploit more than
 // Shards workers, and hold Shards copies of their accumulator arrays while
 // running; 16 keeps that memory overhead moderate while covering common
