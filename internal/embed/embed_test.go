@@ -71,6 +71,37 @@ func TestNoiseTableProportions(t *testing.T) {
 	}
 }
 
+// TestNoiseTableCoversEveryNode is the large-|V| regression: a fixed
+// 2^17-slot table floored every share of a 200,000-node cycle to zero and
+// left node 0 as the only negative sample. A share below one slot still
+// gets one; an isolated node gets none.
+func TestNoiseTableCoversEveryNode(t *testing.T) {
+	cycle := gen.Cycle(200000)
+	requireSlots(t, "cycle", buildNoiseTable(cycle, noiseTableSize(cycle.NumNodes())), cycle)
+	// Leaves of a 10-star share 0.28 slots each in a 4-slot table.
+	b := graph.NewBuilder(11) // node 10 isolated
+	for v := 1; v < 10; v++ {
+		b.TryAddEdge(0, graph.NodeID(v))
+	}
+	star := b.Graph()
+	requireSlots(t, "star", buildNoiseTable(star, 4), star)
+}
+
+// requireSlots fails unless table holds a slot for exactly the non-isolated
+// nodes of g.
+func requireSlots(t *testing.T, name string, table []graph.NodeID, g *graph.Graph) {
+	t.Helper()
+	slots := make([]int, g.NumNodes())
+	for _, u := range table {
+		slots[u]++
+	}
+	for u, c := range slots {
+		if isolated := g.Degree(graph.NodeID(u)) == 0; isolated != (c == 0) {
+			t.Fatalf("%s: node %d (degree %d) has %d noise slots", name, u, g.Degree(graph.NodeID(u)), c)
+		}
+	}
+}
+
 func TestSGNSSeparatesCommunities(t *testing.T) {
 	// Two dense communities with a thin bridge: embeddings of same-community
 	// nodes should be closer than cross-community ones on average.

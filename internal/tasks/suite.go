@@ -23,7 +23,8 @@ type Suite struct {
 	// expensive task) when speed matters.
 	SkipEmbedding bool
 	// Workers is the parallelism threaded through every task kernel
-	// (profiles, clustering, betweenness, PageRank); 0 means GOMAXPROCS.
+	// (profiles, clustering, betweenness, PageRank, and node2vec's two
+	// sides); 0 means GOMAXPROCS.
 	// Every kernel follows the internal/par determinism discipline, so the
 	// measurements are bit-identical at any worker count.
 	Workers int
@@ -113,6 +114,7 @@ func (s Suite) Evaluate(orig, red *graph.Graph) []Measurement {
 					SGNS:     embed.SGNSConfig{Dim: 32, Epochs: 1, Seed: s.Seed + 1},
 					MaxPairs: s.MaxPairs,
 					Seed:     s.Seed + 2,
+					Workers:  s.Workers,
 				}).Utility(orig, red),
 				true, "utility, higher is better",
 			}

@@ -9,6 +9,7 @@ import (
 	"edgeshed/internal/embed"
 	"edgeshed/internal/graph"
 	"edgeshed/internal/obs"
+	"edgeshed/internal/par"
 )
 
 // DegreeTask compares vertex degree distributions (task 1, Figures 5(c)-(d)
@@ -216,6 +217,11 @@ type LinkPredictionTask struct {
 	MaxPairs int
 	// Seed drives pair sampling and K-means.
 	Seed int64
+	// Workers is Utility's parallelism: it predicts on the original and the
+	// reduced graph concurrently unless Workers is 1; 0 means GOMAXPROCS.
+	// Each prediction is serial and independent, so results are
+	// bit-identical at any worker count.
+	Workers int
 }
 
 func (t LinkPredictionTask) clusters() int {
@@ -241,9 +247,15 @@ func (t LinkPredictionTask) Predict(g *graph.Graph) []graph.Edge {
 
 // Utility computes |L_s ∩ L| / |L|.
 func (t LinkPredictionTask) Utility(orig, red *graph.Graph) float64 {
-	l := t.Predict(orig)
-	ls := t.Predict(red)
-	return PairOverlap(l, ls)
+	sides := [2]*graph.Graph{orig, red}
+	var preds [2][]graph.Edge
+	workers := par.Workers(t.Workers, len(sides))
+	par.Run(workers, func(w int) {
+		for i := w; i < len(sides); i += workers {
+			preds[i] = t.Predict(sides[i])
+		}
+	})
+	return PairOverlap(preds[0], preds[1])
 }
 
 // LabelPropagationLinkTask is an embedding-free variant of the
