@@ -31,15 +31,16 @@ type Options struct {
 	// With sampling, scores are scaled by |V|/Samples so they estimate the
 	// exact values.
 	Samples int
-	// Workers is the parallelism across sources. 0 means GOMAXPROCS; a
-	// negative value is likewise treated as GOMAXPROCS. Sources accumulate
-	// into par.Shards fixed shards (contiguous blocks of the source list)
-	// that merge in shard order, so the scores are bit-identical at ANY
-	// worker count, not just deterministic per count. Workers take groups
-	// of consecutive shards by stride; when shards are narrower than a
-	// batch, one group fills one traversal, with as many groups as keep
-	// every worker busy. Parallelism is therefore capped at par.Shards
-	// workers.
+	// Workers is the parallelism inside each batch. 0 means GOMAXPROCS; a
+	// negative value is likewise treated as GOMAXPROCS. Batches run one at
+	// a time in source order, and every worker takes part in each: the
+	// traversal is serial, then each BFS level of the sigma and delta
+	// sweeps and the folds are split into static blocks the workers share.
+	// Sources still accumulate into par.Shards fixed shards (contiguous
+	// blocks of the source list) that merge in shard order, so the scores
+	// are bit-identical at ANY worker count, not just deterministic per
+	// count; the shards bound no worker count. Scratch memory does not
+	// grow with Workers.
 	Workers int
 	// Seed drives source sampling; ignored when exact.
 	Seed int64
@@ -49,8 +50,8 @@ type Options struct {
 	// Workers absorb out-of-range values (msbfs.Width is the single
 	// clamping point). The width changes wall-clock time and scratch memory
 	// only (batched Brandes holds 16·Batch bytes of sigma/delta state per
-	// node per worker) — node AND edge scores are bit-identical at any
-	// width.
+	// node, once, whatever the worker count) — node AND edge scores are
+	// bit-identical at any width.
 	Batch int
 	// Obs is the parent observability span; nil (the zero value) records
 	// nothing at no cost. When set, the kernel reports a "betweenness" span

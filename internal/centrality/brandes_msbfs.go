@@ -7,19 +7,26 @@ package centrality
 // relaunches — and 64 O(|V|) state re-zeroings — with one shared sweep plus
 // touched-row clearing.
 //
+// One batch runs at a time, with every worker inside it: the traversal is
+// serial, and each level of both sweeps, then the folds, run as team
+// regions split into static blocks. So one traversal, one pair of rows and
+// one crossing mask exist whatever the worker count.
+//
 // Determinism. Sigma values are integer-valued floats (path counts), exact
 // under addition in any order. Delta values are genuinely fractional, so
 // their summation order must be a function of (graph, Options) alone:
 //
 //   - the traversal runs in canonical mode, so every level lists its nodes
 //     ascending, and within a node the CSR neighbor scan ascends;
+//   - both sweeps pull: a node sums its own row from its neighbors in CSR
+//     order, so how a level splits into worker blocks never reaches a sum;
 //   - sources keep a fixed par.Shards accumulation discipline: the source
 //     list is put in a canonical locality order (a pure function of the
 //     graph — see orderSourcesByLocality), split into par.Shards contiguous
-//     blocks, each block folded IN ORDER by one owner, and the shard
-//     partials merge in shard index order. One batch may carry several
-//     consecutive shards' sources; each shard's bits fold into that shard's
-//     own partial.
+//     blocks, each block folded IN ORDER into its own partial, and the
+//     shard partials merge in shard index order. One batch may carry
+//     several consecutive shards' sources and a shard may span several
+//     batches; each bit's terms go to its own shard's partial.
 //
 // Batch bits never mix — per-bit arithmetic is independent of how sources
 // are grouped into batches — and the per-shard folds add each source's
@@ -29,9 +36,9 @@ package centrality
 //
 // Edge dependencies need one extra care the node fold does not: a
 // dependency crosses a specific DAG edge, and which direction an undirected
-// edge is traversed differs per source. Folding contributions at the moment
-// the backward sweep pushes them would order each edge's terms by level and
-// by endpoint — an order that depends on how sources are grouped into
+// edge is traversed differs per source. Folding contributions as the
+// backward sweep meets them would order each edge's terms by level and by
+// endpoint — an order that depends on how sources are grouped into
 // batches. Instead the backward sweep only RECORDS each slot's crossing
 // bits (slotMask), and a separate slot-outer fold walks the CSR in
 // canonical order — owner node ascending, each edge at its smaller
@@ -46,9 +53,11 @@ package centrality
 import (
 	"math/bits"
 	"sort"
+	"time"
 
 	"edgeshed/internal/graph"
 	"edgeshed/internal/msbfs"
+	"edgeshed/internal/obs"
 	"edgeshed/internal/par"
 )
 
@@ -92,432 +101,118 @@ func orderSourcesByLocality(c *graph.CSR, srcs []graph.NodeID) {
 	sort.Slice(srcs, func(i, j int) bool { return rank[srcs[i]] < rank[srcs[j]] })
 }
 
-// batchedBrandes is the per-worker scratch of the MS-BFS Brandes pass:
-// sigma and delta hold one float64 per (node, batch bit) pair — row u is
-// sigma[u*width : (u+1)*width] — and lvl is the dense word array holding,
-// while one level is processed, each node's first-arrival bits at the level
-// below it. Rows are cleared lazily: only nodes the traversal visited.
-type batchedBrandes struct {
-	c     *graph.CSR
-	tr    *msbfs.Traversal
-	width int
-	sigma []float64
-	delta []float64
-	lvl   []uint64
-	// srcMask marks each batch source's own row bit, excluded from the fold
-	// (a source accumulates no dependency on itself); coeff is the per-bit
-	// (1+delta)/sigma row of the node being expanded backward.
-	srcMask []uint64
-	coeff   []float64
-	// slotMask is the edge path's crossing record, one word per CSR slot:
-	// bit s is set on slot k (owned by node u, targeting v) when the
-	// backward sweep pushed source s's dependency across the DAG edge v→u,
-	// i.e. u is the deeper endpoint for source s. nil on the node-only
-	// path, and cleared back to zero by the edge fold itself.
-	slotMask []uint64
-	// edgeFolds tallies edge dependency terms folded across every run, for
-	// the "brandes.edge_folds" counter. Plain local state — the driver folds
-	// it into the counter once per worker, a no-op when observability is off.
-	edgeFolds int64
-}
-
-// newBatchedBrandes returns scratch for width-wide batches over c. The
-// slotMask crossing record (8 bytes per CSR slot) is only allocated when
-// the caller wants edge scores.
-func newBatchedBrandes(c *graph.CSR, width int, wantEdges bool) *batchedBrandes {
-	n := c.NumNodes()
-	st := &batchedBrandes{
-		c:       c,
-		tr:      msbfs.New(c, width, true),
-		width:   width,
-		sigma:   make([]float64, n*width),
-		delta:   make([]float64, n*width),
-		lvl:     make([]uint64, n),
-		srcMask: make([]uint64, n),
-		coeff:   make([]float64, width),
-	}
-	if wantEdges {
-		st.slotMask = make([]uint64, c.NumSlots())
-	}
-	return st
-}
-
 // shardRange is the slice of one batch that belongs to one accumulation
-// shard: batch bits [lo, hi), whose dependencies fold into the shard's
-// partials nodes (per node) and edges (per canonical edge id). A batch's
-// ranges are contiguous, ascending and cover bits [0, nb); either partial
-// may be nil, consistently across the ranges.
+// shard: batch bits [lo, hi), as a word in mask. closes is set when the
+// shard's last source is in this batch, so its partial merges into the
+// accumulator as soon as the bits are folded. A batch's ranges are
+// contiguous, ascending and cover bits [0, nb).
 type shardRange struct {
-	lo, hi       int
-	nodes, edges []float64
+	lo, hi int
+	mask   uint64
+	closes bool
 }
 
-// mask returns the range's batch bits as a word.
-func (r *shardRange) mask() uint64 {
-	return ^uint64(0) >> uint(64-(r.hi-r.lo)) << uint(r.lo)
-}
+// The kinds of team region a batch runs, in order: one forward and one
+// backward region per BFS level, then the folds, then the row clearing.
+const (
+	regionForward = iota
+	regionBackward
+	regionFoldNodes
+	regionFoldEdges
+	regionClear
+)
 
-// run traverses one batch and folds every source's dependencies into its
-// own shard's partials, as ranges assigns the batch bits: forward sigma
-// pull per level ascending, backward delta push per level descending, both
-// in the canonical order the package comment describes, then
-// touched-rows-only folds and clears.
-func (st *batchedBrandes) run(srcs []graph.NodeID, ranges []shardRange) {
-	tr, W := st.tr, st.width
-	tr.Run(srcs)
-	offsets, targets := st.c.Offsets, st.c.Targets
-	sigma, lvl := st.sigma, st.lvl
+// pad spaces per-worker tallies a cache line apart.
+const pad = 8
 
-	nb := len(srcs)
-	// full is the ragged-batch occupancy mask: a neighbor mask equal to it
-	// means every batch bit crosses, unlocking the straight row walks below.
-	full := ^uint64(0) >> uint(64-nb)
-	for i, s := range srcs {
-		sigma[int(s)*W+i] = 1
-		st.srcMask[s] |= uint64(1) << uint(i)
-	}
-	numLevels := tr.NumLevels()
-	// Forward: each level-d arrival pulls sigma from its distance-(d-1)
-	// neighbors, neighbor-outer so every bit's contributions arrive in
-	// ascending CSR order. Per-bit sums are independent, so when every batch
-	// bit crosses the bit-scan loop collapses to a straight row walk with
-	// identical bits.
-	for d := 1; d < numLevels; d++ {
-		pn, pw := tr.Level(d - 1)
-		for i, v := range pn {
-			lvl[v] = pw[i]
-		}
-		nodes, words := tr.Level(d)
-		for i, u := range nodes {
-			wu := words[i]
-			row := sigma[int(u)*W : int(u)*W+W]
-			for _, nbr := range targets[offsets[u]:offsets[u+1]] {
-				m := wu & lvl[nbr]
-				if m == 0 {
-					continue
-				}
-				nrow := sigma[int(nbr)*W : int(nbr)*W+W]
-				if m == full {
-					for s, v := range nrow[:nb] {
-						row[s] += v
-					}
-					continue
-				}
-				for m != 0 {
-					s := bits.TrailingZeros64(m)
-					m &= m - 1
-					row[s] += nrow[s]
-				}
-			}
-		}
-		for _, v := range pn {
-			lvl[v] = 0
-		}
-	}
-	// Backward: levels descending; within a level nodes ascend (canonical
-	// traversal order) and each pushes its dependency to its
-	// distance-(d-1) predecessors in ascending CSR order. All of a
-	// predecessor's successors for one bit sit in a single level, so for
-	// every (node, bit) slot the additions happen in ascending successor
-	// order — the order the serial canonical oracle replays. The edge
-	// variant additionally records each slot's crossing bits for the fold.
-	if ranges[0].edges != nil {
-		st.backwardEdges(numLevels, nb, full, ranges[0].nodes == nil)
-		st.foldEdges(nb, ranges)
-	} else {
-		st.backward(numLevels, nb, full)
-		st.foldNodes(nb, ranges)
-	}
-	for _, s := range srcs {
-		st.srcMask[s] = 0
-	}
-}
+// A multi-worker region is cut into up to blocksPerWorker static blocks
+// per worker — enough that claiming them evens out uneven costs — but
+// never into blocks of fewer than minBlockSlots adjacency slots: a region
+// too small for two blocks runs on the calling worker alone, so small
+// graphs and thin levels pay no synchronization.
+const (
+	blocksPerWorker = 16
+	minBlockSlots   = 256
+)
 
-// backward is the node-only dependency sweep (no crossing record).
-func (st *batchedBrandes) backward(numLevels, nb int, full uint64) {
-	tr, W := st.tr, st.width
-	offsets, targets := st.c.Offsets, st.c.Targets
-	sigma, delta, lvl := st.sigma, st.delta, st.lvl
-	for d := numLevels - 1; d >= 1; d-- {
-		pn, pw := tr.Level(d - 1)
-		for i, v := range pn {
-			lvl[v] = pw[i]
-		}
-		nodes, words := tr.Level(d)
-		for i, u := range nodes {
-			wu := words[i]
-			srow := sigma[int(u)*W : int(u)*W+W]
-			drow := delta[int(u)*W : int(u)*W+W]
-			m := wu
-			for m != 0 {
-				s := bits.TrailingZeros64(m)
-				m &= m - 1
-				st.coeff[s] = (1 + drow[s]) / srow[s]
-			}
-			for _, nbr := range targets[offsets[u]:offsets[u+1]] {
-				mm := wu & lvl[nbr]
-				if mm == 0 {
-					continue
-				}
-				nsrow := sigma[int(nbr)*W : int(nbr)*W+W]
-				ndrow := delta[int(nbr)*W : int(nbr)*W+W]
-				if mm == full {
-					for s, v := range nsrow[:nb] {
-						ndrow[s] += v * st.coeff[s]
-					}
-					continue
-				}
-				for mm != 0 {
-					s := bits.TrailingZeros64(mm)
-					mm &= mm - 1
-					ndrow[s] += nsrow[s] * st.coeff[s]
-				}
-			}
-		}
-		for _, v := range pn {
-			lvl[v] = 0
-		}
-	}
-}
+// brandes is the state of one betweenness call, shared by every team
+// worker. sigma and delta hold one float64 per (node, batch bit) pair — row
+// u is sigma[u*width : (u+1)*width] — and exist once, whatever the worker
+// count. Rows are cleared lazily: only nodes the traversal visited.
+type brandes struct {
+	c       *graph.CSR
+	tr      *msbfs.Traversal
+	team    *par.Team
+	workers int
+	width   int
 
-// backwardEdges is the dependency sweep with the crossing record: identical
-// per-(node, bit) arithmetic to backward, plus slotMask[k] |= mm on every
-// CSR slot a dependency crosses. The record is direction-resolved — slot k
-// belongs to the successor (deeper) endpoint — which is exactly what the
-// edge fold needs to pick sigma(pred)·coeff(succ) per bit.
-//
-// With inplace set (the edges-only path, where no caller needs the raw
-// delta sums), each visited delta slot is overwritten with its coefficient
-// (1+delta)/sigma the moment the sweep expands its node: by then bit s of
-// node u receives no further pushes — its successors all sit one level
-// deeper and were expanded earlier in the descending sweep — so the fold
-// can skip its own transform pass. The value is computed from the same
-// operands either way; only where it is stored changes, so scores are
-// bit-identical with the flag on or off.
-func (st *batchedBrandes) backwardEdges(numLevels, nb int, full uint64, inplace bool) {
-	tr, W := st.tr, st.width
-	offsets, targets := st.c.Offsets, st.c.Targets
-	sigma, delta, lvl := st.sigma, st.delta, st.lvl
-	slotMask := st.slotMask
-	for d := numLevels - 1; d >= 1; d-- {
-		pn, pw := tr.Level(d - 1)
-		for i, v := range pn {
-			lvl[v] = pw[i]
-		}
-		nodes, words := tr.Level(d)
-		for i, u := range nodes {
-			wu := words[i]
-			srow := sigma[int(u)*W : int(u)*W+W]
-			drow := delta[int(u)*W : int(u)*W+W]
-			coeff := st.coeff
-			if inplace {
-				coeff = drow
-			}
-			for m := wu; m != 0; {
-				s := bits.TrailingZeros64(m)
-				m &= m - 1
-				coeff[s] = (1 + drow[s]) / srow[s]
-			}
-			lo, hi := offsets[u], offsets[u+1]
-			for k, nbr := range targets[lo:hi] {
-				mm := wu & lvl[nbr]
-				if mm == 0 {
-					continue
-				}
-				slotMask[lo+int32(k)] |= mm
-				nsrow := sigma[int(nbr)*W : int(nbr)*W+W]
-				ndrow := delta[int(nbr)*W : int(nbr)*W+W]
-				if mm == full {
-					for s, v := range nsrow[:nb] {
-						ndrow[s] += v * coeff[s]
-					}
-					continue
-				}
-				for mm != 0 {
-					s := bits.TrailingZeros64(mm)
-					mm &= mm - 1
-					ndrow[s] += nsrow[s] * coeff[s]
-				}
-			}
-		}
-		for _, v := range pn {
-			lvl[v] = 0
-		}
-	}
-}
+	sigma, delta []float64
+	// coef is the row array that holds the coefficient (1+delta)/sigma of
+	// every settled (node, bit) slot: delta on the edges-only path, which
+	// needs no raw delta sums, and sigma on the node-only path, which needs
+	// no sigma once a slot is settled. nil on the combined path, which
+	// keeps both raw and recomputes the coefficient from the same operands
+	// wherever it needs it.
+	coef []float64
+	// lvl holds each node's batch bits at one BFS level; level d lives in
+	// lvl[d%3]. A sweep region at level d reads level d±1 while writing
+	// level d, and entries left over from other levels are never cleared
+	// mid-batch: they are three levels off, and a neighbor's bits lie
+	// within one level of each other, so masking can never pick them up.
+	lvl [3][]uint64
+	// srcMask marks each batch source's own row bit, excluded from the
+	// node fold (a source accumulates no dependency on itself).
+	srcMask []uint64
+	// slotMask is the edge paths' crossing record, one word per CSR slot:
+	// bit s is set on slot k (owned by node u, targeting v) when source s's
+	// shortest paths cross the edge from v into u, i.e. u is the deeper
+	// endpoint for source s. The forward sweep writes it, since its pull
+	// meets exactly these crossings, each on the pulling node's own slot.
+	// nil on the node-only path, and cleared back to zero by the edge fold.
+	slotMask []uint64
 
-// foldNodes folds visited rows into their shards' partials — node-outer,
-// bit-inner ascending, each bit into its own range's partial, so each node
-// receives every shard's per-source contributions in shard-source order
-// regardless of batch width (unreached slots add +0.0, a bitwise no-op on
-// the non-negative accumulator) — and clears them for the next batch. Only
-// the first nb slots of a row are ever written.
-func (st *batchedBrandes) foldNodes(nb int, ranges []shardRange) {
-	W := st.width
-	sigma, delta := st.sigma, st.delta
-	visit := st.tr.Visit()
-	for u, vw := range visit {
-		if vw == 0 {
-			continue
-		}
-		srow := sigma[u*W : u*W+nb]
-		drow := delta[u*W : u*W+nb]
-		st.foldNodeRow(u, drow, ranges)
-		clear(srow)
-		clear(drow)
-	}
-}
+	// The accumulators: acc holds the merged shards, part the partial of
+	// the shard still open across a batch boundary (nil when no shard
+	// spans two batches). Either pair is nil when unwanted.
+	nodeAcc, nodePart, edgeAcc, edgePart []float64
+	// blocks is how many static blocks every region is cut into; the team
+	// hands them to whichever worker is free, so the hubs that come first
+	// in preferential-attachment graphs, or a worker the machine
+	// preempts, do not hold a region up.
+	blocks int
+	// edgeCut cuts the edge fold: block i folds the edges owned by nodes
+	// [edgeCut[i], edgeCut[i+1]), cut at canonical edge-id quantiles.
+	edgeCut []int
 
-// foldNodeRow adds node u's dependency row into its shards' partials, bits
-// ascending, skipping u's own source bits.
-func (st *batchedBrandes) foldNodeRow(u int, drow []float64, ranges []shardRange) {
-	skip := st.srcMask[u]
-	for i := range ranges {
-		r := &ranges[i]
-		acc := r.nodes[u]
-		for s := r.lo; s < r.hi; s++ {
-			if skip>>uint(s)&1 == 0 {
-				acc += drow[s]
-			}
-		}
-		r.nodes[u] = acc
-	}
-}
+	// The current batch: nb sources, full the mask of all nb bits, its
+	// shard ranges; cont is set when ranges[0]'s shard began in an earlier
+	// batch, open when the last range's shard continues into the next.
+	nb         int
+	full       uint64
+	ranges     []shardRange
+	cont, open bool
+	// levelOff[d] is the index of level d's first entry among all levels,
+	// and slotCum[i] counts the adjacency slots of entries before i: the
+	// sweeps cut each level into blocks of equal slots from them. Unused
+	// when every region is a single block.
+	levelOff, slotCum []int
 
-// foldEdges is the edge-path epilogue, two sweeps:
-//
-// Sweep 1 runs only when node scores are also wanted: it folds node
-// dependencies in exactly foldNodes' order, then transforms each visited
-// delta slot in place into its coefficient (1+delta)/sigma — computed once
-// per (node, bit), the same operands and operations the serial oracle
-// replays per edge term. On the edges-only path backwardEdges already
-// stored the coefficients in place (same arithmetic), so the sweep is
-// skipped entirely.
-//
-// Sweep 2 walks the CSR in canonical order — owner node ascending, each
-// edge processed at its smaller endpoint — and adds, crossing-bits
-// ascending, sigma(pred)·coeff(succ) into the slot's canonical edge id.
-// The union of the slot's mask and its mate's covers every source whose
-// dependency crossed the edge in either direction, each exactly once, so
-// per edge the terms arrive in shard-source order at any batch width. Each
-// range's bits fold into that range's shard partial, so a batch spanning
-// several shards keeps every shard's order intact.
-// Scratch is retired in the same pass: both slot words are cleared when an
-// edge is folded, and a node's rows are cleared when its slots are done —
-// safe because iteration u only reads rows of u and of neighbors above it.
-func (st *batchedBrandes) foldEdges(nb int, ranges []shardRange) {
-	W := st.width
-	c := st.c
-	offsets, targets, edgeID, mate := c.Offsets, c.Targets, c.EdgeID, c.Mate
-	sigma, delta, slotMask := st.sigma, st.delta, st.slotMask
-	visit := st.tr.Visit()
-	if ranges[0].nodes != nil {
-		for u, vw := range visit {
-			if vw == 0 {
-				continue
-			}
-			srow := sigma[u*W : u*W+W]
-			drow := delta[u*W : u*W+W]
-			st.foldNodeRow(u, drow, ranges)
-			for m := vw; m != 0; {
-				s := bits.TrailingZeros64(m)
-				m &= m - 1
-				drow[s] = (1 + drow[s]) / srow[s]
-			}
-		}
-	}
-	var masks [64]uint64
-	for i := range ranges {
-		masks[i] = ranges[i].mask()
-	}
-	folds := int64(0)
-	for u, vw := range visit {
-		if vw == 0 {
-			continue
-		}
-		usig := sigma[u*W : u*W+W]
-		ucoe := delta[u*W : u*W+W]
-		lo, hi := offsets[u], offsets[u+1]
-		for k := lo; k < hi; k++ {
-			v := targets[k]
-			if int(v) <= u {
-				// The edge is folded (and its scratch cleared) at its
-				// smaller endpoint; this slot's mask was already retired
-				// through its mate.
-				continue
-			}
-			m1 := slotMask[k]       // bits where u is the successor (v → u crossing)
-			m2 := slotMask[mate[k]] // bits where v is the successor (u → v crossing)
-			if m1|m2 == 0 {
-				continue
-			}
-			e := edgeID[k]
-			vsig := sigma[int(v)*W : int(v)*W+W]
-			vcoe := delta[int(v)*W : int(v)*W+W]
-			for i, rest := 0, m1|m2; rest != 0; i++ {
-				mk := masks[i]
-				r1, r2 := m1&mk, m2&mk
-				un := r1 | r2
-				if un == 0 {
-					continue
-				}
-				rest &^= mk
-				acc := ranges[i].edges[e]
-				// Locality-ordered batches mostly agree on an edge's
-				// direction (which endpoint is deeper), so the
-				// single-direction cases get branch-free loops. All three
-				// walk the same bits ascending and add the same per-bit
-				// term, so the sums are bit-identical.
-				switch {
-				case r2 == 0:
-					for un != 0 {
-						s := bits.TrailingZeros64(un)
-						un &= un - 1
-						acc += vsig[s] * ucoe[s]
-					}
-				case r1 == 0:
-					for un != 0 {
-						s := bits.TrailingZeros64(un)
-						un &= un - 1
-						acc += usig[s] * vcoe[s]
-					}
-				default:
-					for un != 0 {
-						s := bits.TrailingZeros64(un)
-						un &= un - 1
-						if r1>>uint(s)&1 != 0 {
-							acc += vsig[s] * ucoe[s]
-						} else {
-							acc += usig[s] * vcoe[s]
-						}
-					}
-				}
-				ranges[i].edges[e] = acc
-			}
-			folds += int64(bits.OnesCount64(m1 | m2))
-			slotMask[k] = 0
-			slotMask[mate[k]] = 0
-		}
-		for s := 0; s < nb; s++ {
-			usig[s] = 0
-			ucoe[s] = 0
-		}
-	}
-	st.edgeFolds += folds
+	// The current region: its kind, level and block count.
+	kind, d, nblk int
+
+	// Per-worker tallies, pad apart: edge terms folded, and — only when
+	// observability is on — nanoseconds spent working.
+	folds, busy []int64
+	// run is work as a func value, made once per call.
+	run func(w, i int)
 }
 
 // msbfsBetweenness is the batched driver behind NodeBetweenness,
 // EdgeBetweennessScores and Betweenness: Options.sources picks the sources,
-// the locality order splits them into par.Shards contiguous blocks, and the
-// blocks merge in block order before scaling.
-//
-// The unit of work is a shard group: k consecutive shards, k as large as
-// fits one batch (when shards are narrower than a batch) without leaving a
-// worker idle. Groups go to workers by stride; a worker batches a group's
-// sources in order, each batch split into one bit range per shard it
-// touches, so a batch carries several shards' sources while each shard
-// still folds its own sources in order into its own partial. Grouping only
-// decides which sources share a traversal, never a summation order.
+// the locality order fixes their sequence and their par.Shards blocks, and
+// the batches run in that sequence, one at a time, every worker inside
+// each. A shard's partial merges into the accumulator, in shard order, the
+// moment its last batch is folded; the total is scaled at the end.
 func msbfsBetweenness(g *graph.Graph, opt Options, wantNodes, wantEdges bool) ([]float64, []float64) {
 	n, m := g.NumNodes(), g.NumEdges()
 	if n == 0 {
@@ -531,60 +226,544 @@ func msbfsBetweenness(g *graph.Graph, opt Options, wantNodes, wantEdges bool) ([
 	c := g.CSR()
 	orderSourcesByLocality(c, srcs)
 	width := msbfs.Width(opt.Batch)
-	shards := par.Shards
-	if shards > len(srcs) {
-		shards = len(srcs)
+	shards := min(par.Shards, len(srcs))
+	// A partial outlives its batch only when some shard spans two batches.
+	spans := false
+	for s := 0; s < shards; s++ {
+		lo, hi := par.Block(len(srcs), shards, s)
+		spans = spans || lo/width != (hi-1)/width
 	}
-	workers := par.Workers(opt.Workers, shards)
-	// No shard holds more than perShard sources, so k of them fit one batch;
-	// k <= shards/workers keeps at least one group per worker.
-	perShard := (len(srcs) + shards - 1) / shards
-	k := max(1, min(width/perShard, shards/workers))
-	groups := (shards + k - 1) / k
 	sp := opt.Obs.Start("betweenness")
 	defer sp.End()
 	sp.SetTotal(int64(len(srcs)))
-	srcCtr := sp.Counter("betweenness.sources_done")
-	foldCtr := sp.Counter("brandes.edge_folds")
-	meter := msbfs.NewMeter(sp, "betweenness")
-	nodeParts := make([][]float64, shards)
-	edgeParts := make([][]float64, shards)
-	par.Run(workers, func(w int) {
-		var done int64
-		var ranges []shardRange
-		st := newBatchedBrandes(c, width, wantEdges)
-		wm := meter.Worker(w, st.tr)
-		for gi := w; gi < groups; gi += workers {
-			first, last := gi*k, min(gi*k+k, shards)
-			for s := first; s < last; s++ {
-				nodeParts[s] = zeros(wantNodes, n)
-				edgeParts[s] = zeros(wantEdges, m)
-			}
-			glo, _ := par.Block(len(srcs), shards, first)
-			_, ghi := par.Block(len(srcs), shards, last-1)
-			for lo := glo; lo < ghi; lo += width {
-				hi := min(lo+width, ghi)
-				ranges = ranges[:0]
-				for s := first; s < last; s++ {
-					blo, bhi := par.Block(len(srcs), shards, s)
-					if blo, bhi = max(blo, lo), min(bhi, hi); blo < bhi {
-						ranges = append(ranges, shardRange{
-							lo: blo - lo, hi: bhi - lo,
-							nodes: nodeParts[s], edges: edgeParts[s],
-						})
-					}
-				}
-				st.run(srcs[lo:hi], ranges)
-				wm.Batch(hi - lo)
-				done += int64(hi - lo)
-				sp.Done(int64(hi - lo))
+
+	b := newBrandes(c, par.Workers(opt.Workers, n), width, wantNodes, wantEdges, spans, sp.Enabled())
+	defer b.team.Close()
+	wm := msbfs.NewMeter(sp, "betweenness").Worker(0, b.tr)
+	for lo := 0; lo < len(srcs); lo += width {
+		hi := min(lo+width, len(srcs))
+		b.setRanges(len(srcs), shards, lo, hi)
+		b.batch(srcs[lo:hi])
+		wm.Batch(hi - lo)
+		sp.Done(int64(hi - lo))
+	}
+	// Each unordered pair is seen from both endpoints in an exact run:
+	// halve. Sampled runs estimate the same quantity via scale/2.
+	for _, acc := range [2][]float64{b.nodeAcc, b.edgeAcc} {
+		for i := range acc {
+			acc[i] *= scale / 2
+		}
+	}
+	b.report(sp, &wm, len(srcs))
+	return b.nodeAcc, b.edgeAcc
+}
+
+// newBrandes allocates one call's state: a team of workers, one traversal
+// and one pair of width-wide rows, the crossing record when edge scores
+// are wanted, and the accumulators — with a partial beside each when a
+// shard spans batches. timed turns on the per-worker busy clock.
+func newBrandes(c *graph.CSR, workers, width int, wantNodes, wantEdges, spans, timed bool) *brandes {
+	n, m := c.NumNodes(), len(c.EdgeU)
+	b := &brandes{
+		c:        c,
+		tr:       msbfs.New(c, width, true),
+		team:     par.NewTeam(workers),
+		workers:  workers,
+		width:    width,
+		sigma:    make([]float64, n*width),
+		delta:    make([]float64, n*width),
+		srcMask:  make([]uint64, n),
+		nodeAcc:  zeros(wantNodes, n),
+		nodePart: zeros(wantNodes && spans, n),
+		edgeAcc:  zeros(wantEdges, m),
+		edgePart: zeros(wantEdges && spans, m),
+		folds:    make([]int64, workers*pad),
+	}
+	for i := range b.lvl {
+		b.lvl[i] = make([]uint64, n)
+	}
+	switch {
+	case wantNodes && wantEdges:
+	case wantEdges:
+		b.coef = b.delta
+	default:
+		b.coef = b.sigma
+	}
+	b.blocks = max(1, min(workers*blocksPerWorker, c.NumSlots()/minBlockSlots))
+	if wantEdges {
+		b.slotMask = make([]uint64, c.NumSlots())
+		b.edgeCut = make([]int, b.blocks+1)
+		for i := 1; i <= b.blocks; i++ {
+			b.edgeCut[i] = n
+			if i < b.blocks && m > 0 {
+				b.edgeCut[i] = int(c.EdgeU[m*i/b.blocks])
 			}
 		}
-		srcCtr.AddAt(w, done)
-		foldCtr.AddAt(w, st.edgeFolds)
-		wm.End()
-	})
-	return mergeShards(nodeParts, scale), mergeShards(edgeParts, scale)
+	}
+	if timed {
+		b.busy = make([]int64, workers*pad)
+	}
+	b.run = b.work
+	return b
+}
+
+// setRanges splits batch [lo, hi) of a total-source list into its shards'
+// bit ranges.
+func (b *brandes) setRanges(total, shards, lo, hi int) {
+	b.ranges = b.ranges[:0]
+	for s := 0; s < shards; s++ {
+		blo, bhi := par.Block(total, shards, s)
+		if bhi <= lo || blo >= hi {
+			continue
+		}
+		if len(b.ranges) == 0 {
+			b.cont = blo < lo
+		}
+		r := shardRange{lo: max(blo, lo) - lo, hi: min(bhi, hi) - lo, closes: bhi <= hi}
+		r.mask = ^uint64(0) >> uint(64-(r.hi-r.lo)) << uint(r.lo)
+		b.ranges = append(b.ranges, r)
+	}
+	b.open = !b.ranges[len(b.ranges)-1].closes
+}
+
+// batch traverses one batch and folds every source's dependencies: forward
+// sigma pull per level ascending, backward delta pull per level
+// descending, then the folds. Only the traversal and a little bookkeeping
+// run serially; every other step is a team region.
+func (b *brandes) batch(srcs []graph.NodeID) {
+	var t0 time.Time
+	if b.busy != nil {
+		t0 = time.Now()
+	}
+	tr, W := b.tr, b.width
+	tr.Run(srcs)
+	b.nb = len(srcs)
+	// full is the ragged-batch occupancy mask: a neighbor mask equal to it
+	// means every batch bit crosses, unlocking the straight row walks.
+	b.full = ^uint64(0) >> uint(64-b.nb)
+	for i, s := range srcs {
+		b.sigma[int(s)*W+i] = 1
+		b.srcMask[s] |= uint64(1) << uint(i)
+	}
+	nodes, words := tr.Level(0)
+	for i, v := range nodes {
+		b.lvl[0][v] = words[i]
+	}
+	numLevels := tr.NumLevels()
+	if b.blocks > 1 {
+		b.levelSlots(numLevels)
+	}
+	if b.busy != nil {
+		b.busy[0] += int64(time.Since(t0))
+	}
+	for d := 1; d < numLevels; d++ {
+		b.region(regionForward, d)
+	}
+	for d := numLevels - 1; d >= 1; d-- {
+		b.region(regionBackward, d)
+	}
+	if b.nodeAcc != nil {
+		b.region(regionFoldNodes, 0)
+	}
+	if b.edgeAcc != nil {
+		b.region(regionFoldEdges, 0)
+	}
+	b.region(regionClear, 0)
+	for _, s := range srcs {
+		b.srcMask[s] = 0
+	}
+}
+
+// levelSlots fills levelOff and slotCum for the last traversal.
+func (b *brandes) levelSlots(numLevels int) {
+	offsets := b.c.Offsets
+	b.levelOff = b.levelOff[:0]
+	b.slotCum = append(b.slotCum[:0], 0)
+	sum := 0
+	for d := 0; d < numLevels; d++ {
+		b.levelOff = append(b.levelOff, len(b.slotCum)-1)
+		nodes, _ := b.tr.Level(d)
+		for _, u := range nodes {
+			sum += int(offsets[u+1] - offsets[u])
+			b.slotCum = append(b.slotCum, sum)
+		}
+	}
+	b.levelOff = append(b.levelOff, len(b.slotCum)-1)
+}
+
+// levelBlock returns block i [lo, hi) of level d's entries: the level cut
+// into b.nblk runs of about equal adjacency slots.
+func (b *brandes) levelBlock(d, i int) (lo, hi int) {
+	if b.nblk == 1 {
+		nodes, _ := b.tr.Level(d)
+		return 0, len(nodes)
+	}
+	base, end := b.levelOff[d], b.levelOff[d+1]
+	return b.levelCut(base, end, i) - base, b.levelCut(base, end, i+1) - base
+}
+
+// levelCut returns the first entry of [base, end) in block i or later: the
+// first whose preceding slots reach i/nblk of the level's.
+func (b *brandes) levelCut(base, end, i int) int {
+	if i == b.nblk {
+		return end
+	}
+	cum := b.slotCum
+	target := cum[base] + (cum[end]-cum[base])*i/b.nblk
+	return base + sort.Search(end-base, func(j int) bool { return cum[base+j] >= target })
+}
+
+// region runs one team region of the given kind at level d: the folds in
+// b.blocks blocks, a sweep level in as many as its slots fill.
+func (b *brandes) region(kind, d int) {
+	b.kind, b.d, b.nblk = kind, d, b.blocks
+	if (kind == regionForward || kind == regionBackward) && b.blocks > 1 {
+		base, end := b.levelOff[d], b.levelOff[d+1]
+		b.nblk = min(b.blocks, 1+(b.slotCum[end]-b.slotCum[base])/minBlockSlots)
+	}
+	b.team.Run(b.nblk, b.run)
+}
+
+// work runs block blk of the current region on worker w.
+func (b *brandes) work(w, blk int) {
+	var t0 time.Time
+	if b.busy != nil {
+		t0 = time.Now()
+	}
+	switch b.kind {
+	case regionForward:
+		b.forward(blk)
+	case regionBackward:
+		b.backward(blk)
+	case regionFoldNodes:
+		b.foldNodes(blk)
+	case regionFoldEdges:
+		b.folds[w*pad] += b.foldEdges(blk)
+	case regionClear:
+		b.clearRows(blk)
+	}
+	if b.busy != nil {
+		b.busy[w*pad] += int64(time.Since(t0))
+	}
+}
+
+// forward is the sigma pull at level d: each of block blk's level-d
+// arrivals sums sigma from its distance-(d-1) neighbors, neighbor-outer so
+// every bit's contributions arrive in ascending CSR order. Per-bit sums are
+// independent, so when every batch bit crosses the bit-scan loop collapses
+// to a straight row walk with identical bits. It also records the level's
+// words for the next region and, on the edge paths, each crossing on the
+// pulling node's own slot.
+func (b *brandes) forward(blk int) {
+	d, W, nb, full := b.d, b.width, b.nb, b.full
+	offsets, targets := b.c.Offsets, b.c.Targets
+	sigma, slotMask := b.sigma, b.slotMask
+	prev, cur := b.lvl[(d-1)%3], b.lvl[d%3]
+	nodes, words := b.tr.Level(d)
+	lo, hi := b.levelBlock(d, blk)
+	for i := lo; i < hi; i++ {
+		u, wu := nodes[i], words[i]
+		cur[u] = wu
+		row := sigma[int(u)*W : int(u)*W+W]
+		k0 := int(offsets[u])
+		for k, nbr := range targets[k0:offsets[u+1]] {
+			m := wu & prev[nbr]
+			if m == 0 {
+				continue
+			}
+			if slotMask != nil {
+				slotMask[k0+k] |= m
+			}
+			nrow := sigma[int(nbr)*W : int(nbr)*W+W]
+			if m == full {
+				for s, v := range nrow[:nb] {
+					row[s] += v
+				}
+				continue
+			}
+			for m != 0 {
+				s := bits.TrailingZeros64(m)
+				m &= m - 1
+				row[s] += nrow[s]
+			}
+		}
+	}
+}
+
+// backward is the delta pull at level d: each of block blk's level-d
+// arrivals sums its dependency over its distance-(d+1) neighbors —
+// sigma(self)·coefficient(successor) — in ascending CSR order, then
+// settles its coefficient (1+delta)/sigma into coef. A push from the
+// successors, levels descending and nodes ascending, would add the same
+// terms to every (node, bit) slot in the same ascending-successor order,
+// which is the order the serial canonical oracle replays. Level 0 is never
+// pulled: a source's dependency on itself is never read.
+func (b *brandes) backward(blk int) {
+	d, W, nb, full := b.d, b.width, b.nb, b.full
+	offsets, targets := b.c.Offsets, b.c.Targets
+	sigma, delta, coef := b.sigma, b.delta, b.coef
+	cur := b.lvl[d%3]
+	var next []uint64
+	if d+1 < b.tr.NumLevels() {
+		next = b.lvl[(d+1)%3]
+	}
+	nodes, words := b.tr.Level(d)
+	lo, hi := b.levelBlock(d, blk)
+	for i := lo; i < hi; i++ {
+		v, wv := nodes[i], words[i]
+		cur[v] = wv
+		srow := sigma[int(v)*W : int(v)*W+W]
+		drow := delta[int(v)*W : int(v)*W+W]
+		if next != nil {
+			for _, u := range targets[offsets[v]:offsets[v+1]] {
+				mm := wv & next[u]
+				if mm == 0 {
+					continue
+				}
+				if coef == nil {
+					usig := sigma[int(u)*W : int(u)*W+W]
+					udel := delta[int(u)*W : int(u)*W+W]
+					if mm == full {
+						for s := 0; s < nb; s++ {
+							drow[s] += srow[s] * ((1 + udel[s]) / usig[s])
+						}
+						continue
+					}
+					for mm != 0 {
+						s := bits.TrailingZeros64(mm)
+						mm &= mm - 1
+						drow[s] += srow[s] * ((1 + udel[s]) / usig[s])
+					}
+					continue
+				}
+				ucoe := coef[int(u)*W : int(u)*W+W]
+				if mm == full {
+					for s := 0; s < nb; s++ {
+						drow[s] += srow[s] * ucoe[s]
+					}
+					continue
+				}
+				for mm != 0 {
+					s := bits.TrailingZeros64(mm)
+					mm &= mm - 1
+					drow[s] += srow[s] * ucoe[s]
+				}
+			}
+		}
+		if coef != nil {
+			crow := coef[int(v)*W : int(v)*W+W]
+			for m := wv; m != 0; {
+				s := bits.TrailingZeros64(m)
+				m &= m - 1
+				crow[s] = (1 + drow[s]) / srow[s]
+			}
+		}
+	}
+}
+
+// foldNodes folds block blk of the node rows into the node
+// accumulator — node-outer, bit-inner ascending, each range's bits into
+// its own shard's partial — so each node receives every shard's per-source
+// contributions in shard-source order regardless of batch width (unreached
+// slots add +0.0, a bitwise no-op on the non-negative accumulator). A
+// shard that closes merges into the accumulator on the spot; when the
+// shard left open by an earlier batch closes, untouched nodes merge their
+// partial too. Only the first nb slots of a row are ever written.
+//
+// On the combined path the delta row then becomes the coefficient row the
+// edge fold reads, computed from the same operands the pull used.
+func (b *brandes) foldNodes(blk int) {
+	W, nb := b.width, b.nb
+	acc, part := b.nodeAcc, b.nodePart
+	closing := b.cont && b.ranges[0].closes
+	visit := b.tr.Visit()
+	lo, hi := par.Block(len(visit), b.nblk, blk)
+	for u := lo; u < hi; u++ {
+		vw := visit[u]
+		if vw == 0 {
+			if closing {
+				acc[u] += part[u]
+				part[u] = 0
+			}
+			continue
+		}
+		srow := b.sigma[u*W : u*W+nb]
+		drow := b.delta[u*W : u*W+nb]
+		skip := b.srcMask[u]
+		p := 0.0
+		if b.cont {
+			p = part[u]
+		}
+		for i := range b.ranges {
+			r := &b.ranges[i]
+			for s := r.lo; s < r.hi; s++ {
+				if skip>>uint(s)&1 == 0 {
+					p += drow[s]
+				}
+			}
+			if r.closes {
+				acc[u] += p
+				p = 0
+			}
+		}
+		if b.cont || b.open {
+			part[u] = p
+		}
+		if b.coef != nil {
+			continue
+		}
+		for m := vw; m != 0; {
+			s := bits.TrailingZeros64(m)
+			m &= m - 1
+			drow[s] = (1 + drow[s]) / srow[s]
+		}
+	}
+}
+
+// foldEdges is the edge fold over block blk of the owner nodes. It
+// walks the CSR in canonical order — owner node ascending, each edge at
+// its smaller endpoint — and adds, crossing bits ascending,
+// sigma(pred)·coefficient(succ) into the edge's canonical id. The union of
+// the slot's mask and its mate's covers every source whose dependency
+// crossed the edge in either direction, each exactly once, so per edge the
+// terms arrive in shard-source order at any batch width. Each range's bits
+// fold into that range's shard partial, merged as foldNodes merges. Both
+// slot words are cleared as the edge is folded. It returns the number of
+// terms folded.
+func (b *brandes) foldEdges(blk int) int64 {
+	W := b.width
+	c := b.c
+	offsets, targets, edgeID, mate := c.Offsets, c.Targets, c.EdgeID, c.Mate
+	sigma, coef, slotMask := b.sigma, b.delta, b.slotMask
+	acc, part := b.edgeAcc, b.edgePart
+	ranges := b.ranges
+	cont, open := b.cont, b.open
+	closing := cont && ranges[0].closes
+	visit := b.tr.Visit()
+	folds := int64(0)
+	for u := b.edgeCut[blk]; u < b.edgeCut[blk+1]; u++ {
+		vw := visit[u]
+		lo, hi := offsets[u], offsets[u+1]
+		if vw == 0 {
+			if closing {
+				for k := lo; k < hi; k++ {
+					if int(targets[k]) > u {
+						e := edgeID[k]
+						acc[e] += part[e]
+						part[e] = 0
+					}
+				}
+			}
+			continue
+		}
+		usig := sigma[u*W : u*W+W]
+		ucoe := coef[u*W : u*W+W]
+		for k := lo; k < hi; k++ {
+			v := targets[k]
+			if int(v) <= u {
+				// The edge is folded (and its masks cleared) at its
+				// smaller endpoint.
+				continue
+			}
+			m1 := slotMask[k]       // bits where u is the successor (v → u crossing)
+			m2 := slotMask[mate[k]] // bits where v is the successor (u → v crossing)
+			e := edgeID[k]
+			if m1|m2 == 0 {
+				if closing {
+					acc[e] += part[e]
+					part[e] = 0
+				}
+				continue
+			}
+			vsig := sigma[int(v)*W : int(v)*W+W]
+			vcoe := coef[int(v)*W : int(v)*W+W]
+			p := 0.0
+			if cont {
+				p = part[e]
+			}
+			for i := range ranges {
+				r1, r2 := m1&ranges[i].mask, m2&ranges[i].mask
+				un := r1 | r2
+				// Locality-ordered batches mostly agree on an edge's
+				// direction (which endpoint is deeper), so the
+				// single-direction cases get branch-free loops. All three
+				// walk the same bits ascending and add the same per-bit
+				// term, so the sums are bit-identical.
+				switch {
+				case un == 0:
+				case r2 == 0:
+					for un != 0 {
+						s := bits.TrailingZeros64(un)
+						un &= un - 1
+						p += vsig[s] * ucoe[s]
+					}
+				case r1 == 0:
+					for un != 0 {
+						s := bits.TrailingZeros64(un)
+						un &= un - 1
+						p += usig[s] * vcoe[s]
+					}
+				default:
+					for un != 0 {
+						s := bits.TrailingZeros64(un)
+						un &= un - 1
+						if r1>>uint(s)&1 != 0 {
+							p += vsig[s] * ucoe[s]
+						} else {
+							p += usig[s] * vcoe[s]
+						}
+					}
+				}
+				// Adding +0.0 is a no-op on the non-negative accumulator,
+				// so a shard with no term here skips the merge.
+				if ranges[i].closes && p != 0 {
+					acc[e] += p
+					p = 0
+				}
+			}
+			if cont || open {
+				part[e] = p
+			}
+			folds += int64(bits.OnesCount64(m1 | m2))
+			slotMask[k] = 0
+			slotMask[mate[k]] = 0
+		}
+	}
+	return folds
+}
+
+// clearRows retires block blk of the nodes' scratch once every fold has
+// read it: the visited rows and level words.
+func (b *brandes) clearRows(blk int) {
+	W, nb := b.width, b.nb
+	visit := b.tr.Visit()
+	lo, hi := par.Block(len(visit), b.nblk, blk)
+	for u := lo; u < hi; u++ {
+		if visit[u] == 0 {
+			continue
+		}
+		clear(b.sigma[u*W : u*W+nb])
+		clear(b.delta[u*W : u*W+nb])
+		b.lvl[0][u], b.lvl[1][u], b.lvl[2][u] = 0, 0, 0
+	}
+}
+
+// report folds the call's tallies into sp: sources done, edge terms
+// folded, the traversal's engine counters and, per worker, the time spent
+// working — inside regions, plus worker 0's serial stretches — so the
+// span's idle fraction is barrier waits and the workers left idle by the
+// serial traversal. A no-op when observability is off.
+func (b *brandes) report(sp *obs.Span, wm *msbfs.WorkerMeter, sources int) {
+	if !sp.Enabled() {
+		return
+	}
+	sp.Counter("betweenness.sources_done").AddAt(0, int64(sources))
+	foldCtr := sp.Counter("brandes.edge_folds")
+	for w := 0; w < b.workers; w++ {
+		foldCtr.AddAt(w, b.folds[w*pad])
+		sp.WorkerBusy(w, time.Duration(b.busy[w*pad]))
+	}
+	wm.Fold()
 }
 
 // zeros returns a zeroed slice of size floats when want is set, else nil.
@@ -593,23 +772,4 @@ func zeros(want bool, size int) []float64 {
 		return nil
 	}
 	return make([]float64, size)
-}
-
-// mergeShards sums the shard partials into parts[0] in shard order and
-// scales the total; nil partials (an unwanted accumulator) give nil. Adding
-// into the first partial instead of a fresh zeroed array gives the same
-// bits — 0 + x is exact for the non-negative partials — at one array less.
-func mergeShards(parts [][]float64, scale float64) []float64 {
-	acc := parts[0]
-	for _, p := range parts[1:] {
-		for i, v := range p {
-			acc[i] += v
-		}
-	}
-	// Each unordered pair is seen from both endpoints in an exact run:
-	// halve. Sampled runs estimate the same quantity via scale/2.
-	for i := range acc {
-		acc[i] *= scale / 2
-	}
-	return acc
 }

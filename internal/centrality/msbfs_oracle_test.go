@@ -21,6 +21,7 @@ package centrality
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"edgeshed/internal/graph"
@@ -75,7 +76,9 @@ func closenessPerSource(g *graph.Graph) []float64 {
 // canonicalBrandesSource runs one canonical-order Brandes pass from src:
 // distances by plain BFS, levels enumerated ascending by node id, sigma
 // pulled and delta pushed over ascending CSR neighbors — exactly the
-// per-(node, bit) summation order of batchedBrandes.run. When edgeAcc is
+// per-(node, bit) summation order of the batched kernel's sweeps, whose
+// delta pull meets each node's successors in the same ascending order this
+// push delivers them. When edgeAcc is
 // non-nil it also folds this source's edge dependencies: every undirected
 // edge on the BFS DAG contributes exactly one term,
 // sigma(pred)·((1+delta(succ))/sigma(succ)) with succ the endpoint one
@@ -511,4 +514,47 @@ func TestSampledBetweennessFillsBatches(t *testing.T) {
 			t.Fatalf("workers=%d: msbfs.batch_occupancy = %+v, want 4 observations of 64", workers, occ)
 		}
 	}
+}
+
+// TestBetweennessScratchIndependentOfWorkers pins the one-batch-at-a-time
+// layout: a call allocates one traversal, one pair of rows and one crossing
+// mask whatever the worker count — four workers allocate within 10% of one
+// worker, where one row set per worker would allocate about four times as
+// much — and nothing of it outlives the call. A call on a tiny graph
+// first replaces anything an earlier call might have left reachable; once
+// the big call's result is all that is left and the collector has run,
+// the heap has grown by the result and at most as much again.
+func TestBetweennessScratchIndependentOfWorkers(t *testing.T) {
+	g := gen.BarabasiAlbert(2000, 3, 7)
+	g.CSR()
+	opt := Options{Samples: 256, Seed: 1}
+	allocated := func(workers int) uint64 {
+		var before, after runtime.MemStats
+		o := opt
+		o.Workers = workers
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		EdgeBetweennessScores(g, o)
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	allocated(4) // warm up
+	one, four := allocated(1), allocated(4)
+	if float64(four) > 1.1*float64(one) {
+		t.Fatalf("Workers=4 allocated %d bytes, Workers=1 %d: scratch grows with the worker count", four, one)
+	}
+	opt.Workers = 4
+	EdgeBetweennessScores(gen.Path(4), opt)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	scores := EdgeBetweennessScores(g, opt)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	result := uint64(len(scores)) * 8
+	if after.HeapAlloc > before.HeapAlloc+2*result {
+		t.Fatalf("heap grew %d bytes across the call, result is %d: scratch outlived it",
+			after.HeapAlloc-before.HeapAlloc, result)
+	}
+	runtime.KeepAlive(scores)
 }

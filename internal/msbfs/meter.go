@@ -91,6 +91,16 @@ func (wm *WorkerMeter) Batch(nb int) {
 // records the worker's busy time. Call it once, after the worker's last
 // batch.
 func (wm *WorkerMeter) End() {
+	wm.Fold()
+	if wm.m != nil {
+		wm.m.sp.WorkerBusy(wm.w, time.Since(wm.start))
+	}
+}
+
+// Fold is End without the busy time, for a kernel whose one traversal
+// serves a whole team of workers (batched Brandes): the kernel reports
+// each worker's busy time itself. Call it once, after the last batch.
+func (wm *WorkerMeter) Fold() {
 	m := wm.m
 	if m == nil {
 		return
@@ -101,5 +111,4 @@ func (wm *WorkerMeter) End() {
 	m.switches.AddAt(wm.w, s.Switches)
 	m.topDown.AddAt(wm.w, s.TopDownLevels)
 	m.bottomUp.AddAt(wm.w, s.BottomUpLevels)
-	m.sp.WorkerBusy(wm.w, time.Since(wm.start))
 }

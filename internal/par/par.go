@@ -8,6 +8,9 @@
 //   - Work is assigned to workers statically — by stride (worker w takes
 //     items w, w+workers, …) or by contiguous Blocks — never through a
 //     channel, so the partition is a pure function of (items, workers).
+//     A Team region is the one exception, and only in who runs a block:
+//     its blocks are fixed by the caller and each writes only its own
+//     slots, so workers may claim them as they come free.
 //   - Outputs that are per-item independent (one array slot per node or
 //     edge) are written directly: the value of each slot does not depend on
 //     the partition at all.
@@ -32,10 +35,9 @@ import (
 // floating-point reductions: item i always accumulates into the same shard,
 // whatever the worker count — betweenness gives shard k the contiguous
 // Block(n, Shards, k) of its source list — and per-shard partials merge in
-// shard index order. Kernels that shard this way cannot exploit more than
-// Shards workers, and hold Shards copies of their accumulator arrays while
-// running; 16 keeps that memory overhead moderate while covering common
-// core counts.
+// shard index order. The count fixes the summation tree, not the
+// parallelism: betweenness folds its shards one after another, with every
+// worker inside each batch.
 const Shards = 16
 
 // Workers resolves a requested worker count against an item count:
