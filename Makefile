@@ -15,7 +15,8 @@ test:
 race:
 	$(GO) test -race ./internal/par/ ./internal/analysis/ ./internal/tasks/ \
 		./internal/centrality/ ./internal/uds/ ./internal/stream/ \
-		./internal/core/ ./internal/matching/ ./internal/obs/ ./internal/msbfs/
+		./internal/core/ ./internal/matching/ ./internal/obs/ ./internal/msbfs/ \
+		./internal/graph/
 
 # Run the pipeline benchmark (bench/, described by BENCHMARK.json): shed
 # and evaluate generated graphs end to end, every workload in turn. For

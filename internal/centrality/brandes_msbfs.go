@@ -237,7 +237,7 @@ func msbfsBetweenness(g *graph.Graph, opt Options, wantNodes, wantEdges bool) ([
 	defer sp.End()
 	sp.SetTotal(int64(len(srcs)))
 
-	b := newBrandes(c, par.Workers(opt.Workers, n), width, wantNodes, wantEdges, spans, sp.Enabled())
+	b := newBrandes(g, par.Workers(opt.Workers, n), width, wantNodes, wantEdges, spans, sp.Enabled())
 	defer b.team.Close()
 	wm := msbfs.NewMeter(sp, "betweenness").Worker(0, b.tr)
 	for lo := 0; lo < len(srcs); lo += width {
@@ -262,8 +262,9 @@ func msbfsBetweenness(g *graph.Graph, opt Options, wantNodes, wantEdges bool) ([
 // and one pair of width-wide rows, the crossing record when edge scores
 // are wanted, and the accumulators — with a partial beside each when a
 // shard spans batches. timed turns on the per-worker busy clock.
-func newBrandes(c *graph.CSR, workers, width int, wantNodes, wantEdges, spans, timed bool) *brandes {
-	n, m := c.NumNodes(), len(c.EdgeU)
+func newBrandes(g *graph.Graph, workers, width int, wantNodes, wantEdges, spans, timed bool) *brandes {
+	c, edges := g.CSR(), g.Edges()
+	n, m := c.NumNodes(), len(edges)
 	b := &brandes{
 		c:        c,
 		tr:       msbfs.New(c, width, true),
@@ -296,7 +297,7 @@ func newBrandes(c *graph.CSR, workers, width int, wantNodes, wantEdges, spans, t
 		for i := 1; i <= b.blocks; i++ {
 			b.edgeCut[i] = n
 			if i < b.blocks && m > 0 {
-				b.edgeCut[i] = int(c.EdgeU[m*i/b.blocks])
+				b.edgeCut[i] = int(edges[m*i/b.blocks].U)
 			}
 		}
 	}

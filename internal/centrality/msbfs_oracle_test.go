@@ -86,7 +86,8 @@ func closenessPerSource(g *graph.Graph) []float64 {
 // reads from its transformed coeff rows, so per (source, edge) the term is
 // bit-equal, and adding terms source-by-source reproduces the batched
 // fold's shard-source order at any batch width.
-func canonicalBrandesSource(c *graph.CSR, src graph.NodeID, dist []int32, sigma, delta []float64, acc, edgeAcc []float64) {
+func canonicalBrandesSource(g *graph.Graph, src graph.NodeID, dist []int32, sigma, delta []float64, acc, edgeAcc []float64) {
+	c := g.CSR()
 	n := c.NumNodes()
 	for i := range dist {
 		dist[i] = -1
@@ -145,8 +146,8 @@ func canonicalBrandesSource(c *graph.CSR, src graph.NodeID, dist []int32, sigma,
 		}
 	}
 	if edgeAcc != nil {
-		for e := range c.EdgeU {
-			u, v := c.EdgeU[e], c.EdgeV[e]
+		for e, uv := range g.Edges() {
+			u, v := uv.U, uv.V
 			du, dv := dist[u], dist[v]
 			if du < 0 || dv < 0 {
 				continue
@@ -195,7 +196,7 @@ func canonicalBetweenness(g *graph.Graph, opt Options) ([]float64, []float64) {
 		edgeAcc := make([]float64, g.NumEdges())
 		lo, hi := par.Block(len(srcs), shards, k)
 		for _, s := range srcs[lo:hi] {
-			canonicalBrandesSource(c, s, dist, sigma, delta, acc, edgeAcc)
+			canonicalBrandesSource(g, s, dist, sigma, delta, acc, edgeAcc)
 		}
 		parts[k] = partial{nodes: acc, edges: edgeAcc}
 	}

@@ -146,10 +146,6 @@ func (c CRR) Sweep(g *graph.Graph, ps []float64) ([]*Result, error) {
 	defer sp.End()
 	sp.SetTotal(int64(len(ps)))
 	scores := c.edgeImportance(g, sp)
-	// Build the shared read-only views before the fan-out: CSR construction
-	// is cached behind a sync.Once, but forcing it here keeps the workers'
-	// critical path free of the one-time build.
-	g.CSR()
 	out := make([]*Result, len(ps))
 	errs := make([]error, len(ps))
 	workers := par.Workers(c.Workers, len(ps))
@@ -199,9 +195,10 @@ func sweepSeed(seed int64, i int) int64 {
 // writes land on the worker's own shard.
 //
 // The whole pipeline is edge-id native: Phase 1 ranks int32 edge ids, Phase 2
-// swaps ids across the kept boundary and reads endpoints from the CSR view's
-// EdgeU/EdgeV arrays, and edges materialize as graph.Edge values only when
-// the Result is assembled. No step hashes an edge or touches a map.
+// swaps ids across the kept boundary and reads endpoints from the canonical
+// edge list by id (both endpoints of an edge share one cache line), and
+// edges materialize as new graph.Edge values only when the Result is
+// assembled. No step hashes an edge or touches a map.
 func (c CRR) reduce(g *graph.Graph, p float64, scores []float64, seed int64, parent *obs.Span, slot int) (*Result, error) {
 	if err := checkP(p); err != nil {
 		return nil, err
@@ -232,16 +229,15 @@ func (c CRR) reduce(g *graph.Graph, p float64, scores []float64, seed int64, par
 	kept := rankEdges(scores, seed)
 	rank.End()
 
-	csr := g.CSR()
-	eu, ev := csr.EdgeU, csr.EdgeV
+	edges := g.Edges()
 
 	// dis bookkeeping: dis(u) = degKept(u) − p·deg_G(u). The expected-degree
 	// term is constant per node, so precompute it once instead of multiplying
 	// inside every Phase 2 evaluation.
 	degKept := make([]int, g.NumNodes())
 	for _, id := range kept[:tgt] {
-		degKept[eu[id]]++
-		degKept[ev[id]]++
+		degKept[edges[id].U]++
+		degKept[edges[id].V]++
 	}
 	exp := make([]float64, g.NumNodes())
 	for u := range exp {
@@ -306,7 +302,7 @@ func (c CRR) reduce(g *graph.Graph, p float64, scores []float64, seed int64, par
 			si := tgt + rng.Intn(m-tgt) // e2 ∈ E \ E'
 			e1, e2 := kept[ki], kept[si]
 			// Remove e1, add e2.
-			u1, v1, u2, v2 := eu[e1], ev[e1], eu[e2], ev[e2]
+			u1, v1, u2, v2 := edges[e1].U, edges[e1].V, edges[e2].U, edges[e2].V
 			var d float64
 			if u1 != u2 && u1 != v2 && v1 != u2 && v1 != v2 {
 				// Disjoint endpoints — the overwhelmingly common case on a
@@ -329,10 +325,10 @@ func (c CRR) reduce(g *graph.Graph, p float64, scores []float64, seed int64, par
 			}
 			if d < 0 {
 				kept[ki], kept[si] = e2, e1
-				degKept[eu[e1]]--
-				degKept[ev[e1]]--
-				degKept[eu[e2]]++
-				degKept[ev[e2]]++
+				degKept[u1]--
+				degKept[v1]--
+				degKept[u2]++
+				degKept[v2]++
 				accepted++
 				acceptedTotal++
 				if qDelta != nil {

@@ -81,20 +81,22 @@ func (c TargetedCRR) Reduce(g *graph.Graph, p float64) (*Result, error) {
 // slot ranges, which enumerate each node's edges in the same order the old
 // per-node lists did.
 type targetedState struct {
-	g    *graph.Graph
-	csr  *graph.CSR
-	p    float64
-	kept []bool
-	dis  []float64
+	g     *graph.Graph
+	csr   *graph.CSR
+	edges []graph.Edge
+	p     float64
+	kept  []bool
+	dis   []float64
 }
 
 func newTargetedState(g *graph.Graph, p float64) *targetedState {
 	st := &targetedState{
-		g:    g,
-		csr:  g.CSR(),
-		p:    p,
-		kept: make([]bool, g.NumEdges()),
-		dis:  make([]float64, g.NumNodes()),
+		g:     g,
+		csr:   g.CSR(),
+		edges: g.Edges(),
+		p:     p,
+		kept:  make([]bool, g.NumEdges()),
+		dis:   make([]float64, g.NumNodes()),
 	}
 	for u := 0; u < g.NumNodes(); u++ {
 		st.dis[u] = -p * float64(g.Degree(graph.NodeID(u)))
@@ -106,8 +108,8 @@ func newTargetedState(g *graph.Graph, p float64) *targetedState {
 func (st *targetedState) setKept(id int32, kept bool) {
 	st.kept[id] = kept
 	if kept {
-		st.dis[st.csr.EdgeU[id]]++
-		st.dis[st.csr.EdgeV[id]]++
+		st.dis[st.edges[id].U]++
+		st.dis[st.edges[id].V]++
 	}
 }
 
@@ -177,7 +179,7 @@ func (st *targetedState) repairOnce() bool {
 // pairChange returns the Δ change of shifting both endpoints of edge id by
 // delta.
 func (st *targetedState) pairChange(id int32, delta int) float64 {
-	u, v := st.csr.EdgeU[id], st.csr.EdgeV[id]
+	u, v := st.edges[id].U, st.edges[id].V
 	d := float64(delta)
 	return math.Abs(st.dis[u]+d) - math.Abs(st.dis[u]) +
 		math.Abs(st.dis[v]+d) - math.Abs(st.dis[v])
@@ -187,18 +189,18 @@ func (st *targetedState) pairChange(id int32, delta int) float64 {
 // shared endpoints.
 func swapChange(st *targetedState, remove, add int32) float64 {
 	return deltaChange(func(u graph.NodeID) float64 { return st.dis[u] },
-		st.csr.EdgeU[remove], st.csr.EdgeV[remove],
-		st.csr.EdgeU[add], st.csr.EdgeV[add])
+		st.edges[remove].U, st.edges[remove].V,
+		st.edges[add].U, st.edges[add].V)
 }
 
 // apply commits the swap.
 func (st *targetedState) apply(remove, add int32) {
 	st.kept[remove] = false
-	st.dis[st.csr.EdgeU[remove]]--
-	st.dis[st.csr.EdgeV[remove]]--
+	st.dis[st.edges[remove].U]--
+	st.dis[st.edges[remove].V]--
 	st.kept[add] = true
-	st.dis[st.csr.EdgeU[add]]++
-	st.dis[st.csr.EdgeV[add]]++
+	st.dis[st.edges[add].U]++
+	st.dis[st.edges[add].V]++
 }
 
 // keptIDs collects the kept edge ids in ascending order.

@@ -1,8 +1,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Builder accumulates edges and produces an immutable Graph. It rejects
@@ -93,34 +94,14 @@ func (b *Builder) HasEdge(u, v NodeID) bool {
 // Graph finalizes the builder into an immutable Graph. The builder remains
 // usable afterwards; the produced graph does not alias builder memory.
 func (b *Builder) Graph() *Graph {
-	g := &Graph{
-		adj:   make([][]NodeID, b.n),
-		edges: make([]Edge, len(b.edges)),
-	}
-	copy(g.edges, b.edges)
-	sort.Slice(g.edges, func(i, j int) bool {
-		if g.edges[i].U != g.edges[j].U {
-			return g.edges[i].U < g.edges[j].U
+	edges := slices.Clone(b.edges)
+	slices.SortFunc(edges, func(x, y Edge) int {
+		if x.U != y.U {
+			return cmp.Compare(x.U, y.U)
 		}
-		return g.edges[i].V < g.edges[j].V
+		return cmp.Compare(x.V, y.V)
 	})
-	deg := make([]int, b.n)
-	for _, e := range g.edges {
-		deg[e.U]++
-		deg[e.V]++
-	}
-	for u := range g.adj {
-		g.adj[u] = make([]NodeID, 0, deg[u])
-	}
-	for _, e := range g.edges {
-		g.adj[e.U] = append(g.adj[e.U], e.V)
-		g.adj[e.V] = append(g.adj[e.V], e.U)
-	}
-	for u := range g.adj {
-		a := g.adj[u]
-		sort.Slice(a, func(i, j int) bool { return a[i] < a[j] })
-	}
-	return g
+	return newGraph(b.n, edges)
 }
 
 // Remapper maps sparse external node identifiers (as found in raw edge-list

@@ -70,20 +70,6 @@ func TestCSREdgeIDsAndMates(t *testing.T) {
 	}
 }
 
-func TestCSREndpointArrays(t *testing.T) {
-	g := microTestGraph(t, 150, 600)
-	c := g.CSR()
-	edges := g.Edges()
-	if len(c.EdgeU) != len(edges) || len(c.EdgeV) != len(edges) {
-		t.Fatalf("endpoint array lengths %d/%d, want %d", len(c.EdgeU), len(c.EdgeV), len(edges))
-	}
-	for i, e := range edges {
-		if c.EdgeU[i] != e.U || c.EdgeV[i] != e.V {
-			t.Fatalf("edge %d: endpoint arrays (%d,%d), want %v", i, c.EdgeU[i], c.EdgeV[i], e)
-		}
-	}
-}
-
 func TestCSREdgeIDOf(t *testing.T) {
 	g := microTestGraph(t, 120, 400)
 	c := g.CSR()
@@ -130,7 +116,7 @@ func TestCSRCachedAndConcurrent(t *testing.T) {
 		}
 	}
 	if g.CSR() != views[0] {
-		t.Fatal("CSR view not cached across calls")
+		t.Fatal("CSR() returned a different view on a later call")
 	}
 }
 
@@ -152,8 +138,8 @@ func TestCSREmptyAndEdgelessGraphs(t *testing.T) {
 	}
 }
 
-// TestCSRCloneIndependence checks a clone builds its own view (the cache is
-// per-Graph, never aliased through Clone).
+// TestCSRCloneIndependence checks a clone owns its own arrays, never
+// aliased through Clone.
 func TestCSRCloneIndependence(t *testing.T) {
 	g := microTestGraph(t, 50, 120)
 	orig := g.CSR()

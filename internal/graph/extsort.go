@@ -22,10 +22,11 @@ import (
 // memory is the key buffer (MemBudget) plus two O(|V|) int32 arrays
 // (degrees and fill cursors), never the O(|E|) edge set.
 //
-// The fill pass mirrors buildCSR statement for statement, so the packed
-// file is byte-identical to WritePackedFile of the in-RAM graph — pinned by
-// test. The remapper is the one in-memory structure proportional to |V|
-// that cannot be avoided: first-seen dense-id assignment needs the id map.
+// Pass 2 places every edge with slotFill, the fill step that builds every
+// in-RAM Graph, so the packed file is byte-identical to WritePackedFile of
+// the in-RAM graph — pinned by test. The remapper is the one in-memory
+// structure proportional to |V| that cannot be avoided: first-seen dense-id
+// assignment needs the id map.
 
 // defaultMemBudget is the spill buffer size when PackOptions.MemBudget is
 // unset: 256 MiB of keys, 32 Mi edges per spill chunk.
@@ -151,7 +152,7 @@ func PackEdgeListFile(inPath, outPath string, opt PackOptions) (*PackStats, erro
 	// Pass 1: merge all runs to count per-node degrees and the deduplicated
 	// edge total.
 	count := opt.Obs.Start("merge.count")
-	deg := make([]int32, n)
+	deg := make([]int32, n+1) // deg[u+1] is u's degree: Offsets before the prefix sum
 	m := 0
 	{
 		srcs, err := openSources()
@@ -176,8 +177,8 @@ func PackEdgeListFile(inPath, outPath string, opt PackOptions) (*PackStats, erro
 				return nil, csrBounds(n, m+1)
 			}
 			e := unpackKey(k)
-			deg[e.U]++
-			deg[e.V]++
+			deg[e.U+1]++
+			deg[e.V+1]++
 			m++
 		}
 		if err := closeSources(srcs); err != nil {
@@ -228,23 +229,20 @@ func PackEdgeListFile(inPath, outPath string, opt PackOptions) (*PackStats, erro
 	} else {
 		copy(viewInt64s(data, l.labelsOff, n), labelSlice(rm, n))
 	}
-	offsets := viewInt32s(data, l.offsetsOff, n+1)
-	for u := 0; u < n; u++ {
-		offsets[u+1] = offsets[u] + deg[u]
+	c := CSR{
+		Offsets: viewInt32s(data, l.offsetsOff, n+1),
+		Targets: viewInt32s(data, l.targetsOff, 2*m),
+		EdgeID:  viewInt32s(data, l.edgeIDOff, 2*m),
+		Mate:    viewInt32s(data, l.mateOff, 2*m),
 	}
+	edges := viewEdges(data, l.edgesOff, m)
+	copy(c.Offsets, deg)
 
-	// Pass 2: merge again and fill the arrays exactly as buildCSR does, so
-	// the file is byte-identical to the in-RAM pack.
+	// Pass 2: merge again and place every edge with the in-RAM graphs'
+	// fill step, so the file is byte-identical to the in-RAM pack.
 	fill := opt.Obs.Start("merge.fill")
 	fill.SetTotal(int64(m))
-	targets := viewInt32s(data, l.targetsOff, 2*m)
-	edgeID := viewInt32s(data, l.edgeIDOff, 2*m)
-	mate := viewInt32s(data, l.mateOff, 2*m)
-	edgeU := viewInt32s(data, l.edgeUOff, m)
-	edgeV := viewInt32s(data, l.edgeVOff, m)
-	edgeUV := viewInt32s(data, l.edgeUVOff, 2*m)
-	cur := make([]int32, n)
-	copy(cur, offsets[:n])
+	slots := newSlotFill(&c)
 	{
 		srcs, err := openSources()
 		if err != nil {
@@ -264,19 +262,8 @@ func PackEdgeListFile(inPath, outPath string, opt PackOptions) (*PackStats, erro
 				break
 			}
 			e := unpackKey(k)
-			su, sv := cur[e.U], cur[e.V]
-			cur[e.U]++
-			cur[e.V]++
-			targets[su] = int32(e.V)
-			targets[sv] = int32(e.U)
-			edgeID[su] = id
-			edgeID[sv] = id
-			mate[su] = sv
-			mate[sv] = su
-			edgeU[id] = int32(e.U)
-			edgeV[id] = int32(e.V)
-			edgeUV[2*id] = int32(e.U)
-			edgeUV[2*id+1] = int32(e.V)
+			edges[id] = e
+			slots.place(id, e)
 			id++
 			fill.Done(1)
 		}
@@ -292,15 +279,7 @@ func PackEdgeListFile(inPath, outPath string, opt PackOptions) (*PackStats, erro
 	fill.End()
 
 	// Header last: the checksum covers the now-complete payload.
-	copy(data[0:4], packMagic[:])
-	binary.LittleEndian.PutUint32(data[4:8], packVersion)
-	binary.LittleEndian.PutUint64(data[8:16], flags)
-	binary.LittleEndian.PutUint64(data[16:24], uint64(n))
-	binary.LittleEndian.PutUint64(data[24:32], uint64(m))
-	binary.LittleEndian.PutUint64(data[32:40], uint64(crc32.Checksum(data[packHeaderSize:], castagnoli)))
-	for i := 40; i < packHeaderSize; i++ {
-		data[i] = 0
-	}
+	putPackHeader(data, flags, n, m, crc32.Checksum(data[packHeaderSize:], castagnoli))
 	if err := flushMap(out, data); err != nil {
 		return nil, err
 	}

@@ -61,6 +61,7 @@ func FuzzOpenPacked(f *testing.F) {
 			return
 		}
 		g, c := p.Graph(), p.Graph().CSR()
+		edges := g.Edges()
 		for u := 0; u < g.NumNodes(); u++ {
 			for _, v := range g.Neighbors(NodeID(u)) {
 				_ = g.Degree(v)
@@ -68,7 +69,7 @@ func FuzzOpenPacked(f *testing.F) {
 		}
 		for s := range c.Targets {
 			id, mate := c.EdgeID[s], c.Mate[s]
-			_, _, _ = c.EdgeU[id], c.EdgeV[id], c.Targets[mate]
+			_, _ = edges[id], c.Targets[mate]
 			_ = g.Degree(c.Targets[s])
 		}
 		for u := 0; u < p.Remapper().Len(); u++ {

@@ -1,28 +1,28 @@
 // Package graph provides the undirected-graph substrate used by every other
-// package in this repository: a compact adjacency-list representation with a
-// canonical edge list, a flat CSR view for traversal kernels, subgraph
-// extraction, I/O and validation.
+// package in this repository: one compressed-sparse-row representation with
+// a canonical edge list, subgraph extraction, I/O and validation.
 //
 // Nodes are dense indices in [0, NumNodes). Loaders and builders remap
 // arbitrary external identifiers onto this dense range. Edges are undirected
 // and stored once in canonical (min, max) order; self-loops and parallel
 // edges are rejected.
 //
-// # CSR view and edge ids
+// # CSR arrays and edge ids
 //
 // Graph.Edges() defines a canonical edge numbering: edge i is Edges()[i].
-// Graph.CSR() exposes the adjacency as flat compressed-sparse-row arrays
-// whose every slot carries that edge id (CSR.EdgeID), so algorithms that
-// accumulate per-edge quantities — Brandes edge betweenness above all — can
-// write edgeAcc[EdgeID[slot]] with pure array indexing instead of hashing a
-// map[Edge] key per visit. The view is built lazily once per graph, cached,
-// and safe for concurrent readers like the Graph itself.
+// A Graph is stored as flat compressed-sparse-row arrays (see CSR) built
+// once, by one constructor, when the graph is made; every slot carries its
+// edge id (CSR.EdgeID), so algorithms that accumulate per-edge quantities —
+// Brandes edge betweenness above all — can write edgeAcc[EdgeID[slot]] with
+// pure array indexing instead of hashing a map[Edge] key per visit.
+// Graph.CSR() returns those arrays themselves; Neighbors(u) is a sub-slice
+// of them.
 package graph
 
 import (
 	"fmt"
-	"sort"
-	"sync"
+	"slices"
+	"unsafe"
 )
 
 // NodeID identifies a node. Graphs built here always use dense ids in
@@ -66,11 +66,8 @@ func (e Edge) String() string { return fmt.Sprintf("(%d,%d)", e.U, e.V) }
 // from io.go. The zero value is an empty graph with no nodes. Graph values
 // are safe for concurrent readers; they are never mutated after construction.
 type Graph struct {
-	adj   [][]NodeID // adj[u] sorted ascending
-	edges []Edge     // canonical, sorted by (U, V)
-
-	csrOnce sync.Once // guards the lazily built CSR view
-	csr     *CSR
+	csr   CSR    // the adjacency; built by newGraph or mapped by loadPacked
+	edges []Edge // canonical, sorted by (U, V); edge i owns the slots with EdgeID i
 }
 
 // NewFromEdges constructs a graph with n nodes and the given edges. Edges may
@@ -98,17 +95,18 @@ func MustFromEdges(n int, edges []Edge) *Graph {
 }
 
 // NumNodes returns |V|.
-func (g *Graph) NumNodes() int { return len(g.adj) }
+func (g *Graph) NumNodes() int { return g.CSR().NumNodes() }
 
 // NumEdges returns |E|.
 func (g *Graph) NumEdges() int { return len(g.edges) }
 
 // Degree returns the degree of node u.
-func (g *Graph) Degree(u NodeID) int { return len(g.adj[u]) }
+func (g *Graph) Degree(u NodeID) int { return int(g.csr.Offsets[u+1] - g.csr.Offsets[u]) }
 
-// Neighbors returns the sorted neighbor list of u. The returned slice is
-// owned by the graph and must not be modified.
-func (g *Graph) Neighbors(u NodeID) []NodeID { return g.adj[u] }
+// Neighbors returns the sorted neighbor list of u: its range of the CSR's
+// Targets array. The returned slice is owned by the graph and must not be
+// modified.
+func (g *Graph) Neighbors(u NodeID) []NodeID { return g.csr.Neighbors(u) }
 
 // Edges returns the canonical edge list sorted by (U, V). The returned slice
 // is owned by the graph and must not be modified.
@@ -116,33 +114,23 @@ func (g *Graph) Edges() []Edge { return g.edges }
 
 // HasEdge reports whether the undirected edge (u, v) exists. It runs in
 // O(log deg) via binary search on the smaller adjacency list.
-func (g *Graph) HasEdge(u, v NodeID) bool {
-	if u < 0 || v < 0 || int(u) >= len(g.adj) || int(v) >= len(g.adj) || u == v {
-		return false
-	}
-	if len(g.adj[u]) > len(g.adj[v]) {
-		u, v = v, u
-	}
-	a := g.adj[u]
-	i := sort.Search(len(a), func(i int) bool { return a[i] >= v })
-	return i < len(a) && a[i] == v
-}
+func (g *Graph) HasEdge(u, v NodeID) bool { return g.CSR().EdgeIDOf(u, v) >= 0 }
 
 // AvgDegree returns the average degree 2|E|/|V|, or 0 for an empty graph.
 func (g *Graph) AvgDegree() float64 {
-	if len(g.adj) == 0 {
+	if g.NumNodes() == 0 {
 		return 0
 	}
-	return 2 * float64(len(g.edges)) / float64(len(g.adj))
+	return 2 * float64(len(g.edges)) / float64(g.NumNodes())
 }
 
 // MaxDegree returns the largest degree in the graph, or 0 if there are no
 // nodes.
 func (g *Graph) MaxDegree() int {
 	max := 0
-	for _, a := range g.adj {
-		if len(a) > max {
-			max = len(a)
+	for u := 0; u < g.NumNodes(); u++ {
+		if d := g.Degree(NodeID(u)); d > max {
+			max = d
 		}
 	}
 	return max
@@ -150,58 +138,49 @@ func (g *Graph) MaxDegree() int {
 
 // Degrees returns a fresh slice d with d[u] = Degree(u).
 func (g *Graph) Degrees() []int {
-	d := make([]int, len(g.adj))
-	for u, a := range g.adj {
-		d[u] = len(a)
+	d := make([]int, g.NumNodes())
+	for u := range d {
+		d[u] = g.Degree(NodeID(u))
 	}
 	return d
 }
 
 // Clone returns a deep copy of g. Because graphs are immutable this is only
 // needed when a caller wants to hand ownership across an API that might
-// outlive g's backing arrays.
+// outlive g's backing arrays — a packed graph's mapping above all.
 func (g *Graph) Clone() *Graph {
-	c := &Graph{
-		adj:   make([][]NodeID, len(g.adj)),
-		edges: make([]Edge, len(g.edges)),
-	}
-	copy(c.edges, g.edges)
-	for u, a := range g.adj {
-		c.adj[u] = append([]NodeID(nil), a...)
-	}
-	return c
+	return newGraph(g.NumNodes(), slices.Clone(g.edges))
 }
 
 // Subgraph returns a new graph over the same node set containing exactly the
 // given edges. Each edge must exist in g; orientation is ignored. Duplicate
 // edges in the input cause an error.
 func (g *Graph) Subgraph(edges []Edge) (*Graph, error) {
-	b := NewBuilder(g.NumNodes())
-	for _, e := range edges {
-		if !g.HasEdge(e.U, e.V) {
+	c := g.CSR()
+	ids := make([]int32, len(edges))
+	for i, e := range edges {
+		if ids[i] = c.EdgeIDOf(e.U, e.V); ids[i] < 0 {
 			return nil, fmt.Errorf("graph: subgraph edge %v not present in parent", e)
 		}
-		if err := b.AddEdge(e.U, e.V); err != nil {
-			return nil, err
+	}
+	slices.Sort(ids)
+	for i := 1; i < len(ids); i++ {
+		if ids[i] == ids[i-1] {
+			return nil, fmt.Errorf("graph: duplicate edge %v", g.edges[ids[i]])
 		}
 	}
-	return b.Graph(), nil
+	return g.SubgraphByIDs(ids)
 }
 
 // SubgraphByIDs returns a new graph over the same node set containing
 // exactly the edges with the given canonical ids — positions in Edges() —
 // which must be sorted ascending and duplicate-free. It is the id-native
 // fast path behind the shedding reducers: because the canonical edge list is
-// sorted by (U, V), selecting ascending ids yields the subgraph's edge list
-// and adjacency already in order, so the whole construction is two linear
-// passes with no hashing, no edge re-sort and a single backing allocation
-// for all adjacency lists.
+// sorted by (U, V), selecting ascending ids yields the subgraph's canonical
+// edge list already in order, ready for the constructor with no hashing and
+// no re-sort.
 func (g *Graph) SubgraphByIDs(ids []int32) (*Graph, error) {
-	sub := &Graph{
-		adj:   make([][]NodeID, len(g.adj)),
-		edges: make([]Edge, len(ids)),
-	}
-	deg := make([]int, len(g.adj))
+	edges := make([]Edge, len(ids))
 	prev := int32(-1)
 	for i, id := range ids {
 		if id <= prev {
@@ -211,47 +190,29 @@ func (g *Graph) SubgraphByIDs(ids []int32) (*Graph, error) {
 			return nil, fmt.Errorf("graph: subgraph edge id %d outside [0,%d)", id, len(g.edges))
 		}
 		prev = id
-		e := g.edges[id]
-		sub.edges[i] = e
-		deg[e.U]++
-		deg[e.V]++
+		edges[i] = g.edges[id]
 	}
-	backing := make([]NodeID, 0, 2*len(ids))
-	for u, d := range deg {
-		if d > 0 {
-			sub.adj[u] = backing[len(backing) : len(backing) : len(backing)+d]
-			backing = backing[:len(backing)+d]
-		}
-	}
-	for _, e := range sub.edges {
-		sub.adj[e.U] = append(sub.adj[e.U], e.V)
-		sub.adj[e.V] = append(sub.adj[e.V], e.U)
-	}
-	return sub, nil
+	return newGraph(g.NumNodes(), edges), nil
 }
 
 // InducedSubgraph returns the subgraph induced by the given node set: the
 // same node-id space with exactly the edges whose endpoints are both in the
 // set. Duplicate nodes in the input are tolerated.
 func (g *Graph) InducedSubgraph(nodes []NodeID) (*Graph, error) {
-	in := make(map[NodeID]struct{}, len(nodes))
+	in := make([]bool, g.NumNodes())
 	for _, u := range nodes {
 		if u < 0 || int(u) >= g.NumNodes() {
 			return nil, fmt.Errorf("graph: induced node %d outside [0,%d)", u, g.NumNodes())
 		}
-		in[u] = struct{}{}
+		in[u] = true
 	}
-	b := NewBuilder(g.NumNodes())
-	for _, e := range g.edges {
-		if _, ok := in[e.U]; !ok {
-			continue
+	var ids []int32
+	for i, e := range g.edges {
+		if in[e.U] && in[e.V] {
+			ids = append(ids, int32(i))
 		}
-		if _, ok := in[e.V]; !ok {
-			continue
-		}
-		b.TryAddEdge(e.U, e.V)
 	}
-	return b.Graph(), nil
+	return g.SubgraphByIDs(ids)
 }
 
 // Density returns |E| / C(|V|, 2), the fraction of possible edges present;
@@ -279,19 +240,13 @@ func (g *Graph) String() string {
 	return fmt.Sprintf("graph{|V|=%d |E|=%d}", g.NumNodes(), g.NumEdges())
 }
 
-// Bytes estimates the resident memory of the graph's data structures:
-// adjacency lists (two 4-byte entries per edge), the canonical edge list
-// (8 bytes per edge) and slice headers. It quantifies the storage saving of
-// a reduction — the paper's first motivation — without depending on the
-// runtime's allocator.
+// Bytes is the resident size of the graph's arrays: the CSR's offsets (4
+// bytes per node), its three per-slot arrays (24 bytes per edge), the
+// canonical edge list (8 bytes per edge) and the Graph header. It quantifies
+// the storage saving of a reduction — the paper's first motivation —
+// without depending on the runtime's allocator.
 func (g *Graph) Bytes() int64 {
-	const (
-		sliceHeader = 24 // ptr + len + cap
-		nodeIDSize  = 4
-		edgeSize    = 8
-	)
-	total := int64(2*sliceHeader) + int64(len(g.adj))*sliceHeader
-	total += int64(2*g.NumEdges()) * nodeIDSize // adjacency entries
-	total += int64(g.NumEdges()) * edgeSize     // edge list
-	return total
+	c := g.CSR()
+	slots := len(c.Targets) + len(c.EdgeID) + len(c.Mate)
+	return int64(unsafe.Sizeof(*g)) + 4*int64(len(c.Offsets)+slots) + int64(unsafe.Sizeof(Edge{}))*int64(len(g.edges))
 }

@@ -137,9 +137,9 @@ func TestCloneIndependence(t *testing.T) {
 		t.Fatalf("clone shape mismatch: %v vs %v", c, g)
 	}
 	// Mutate the clone's backing arrays; the original must be unaffected.
-	c.adj[0][0] = 99
+	c.csr.Targets[0] = 99
 	c.edges[0] = Edge{9, 9}
-	if g.adj[0][0] == 99 || g.edges[0] == (Edge{9, 9}) {
+	if g.csr.Targets[0] == 99 || g.edges[0] == (Edge{9, 9}) {
 		t.Error("Clone shares memory with original")
 	}
 }

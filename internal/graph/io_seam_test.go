@@ -60,6 +60,62 @@ func TestWriteFileWithWriteErrorWins(t *testing.T) {
 	}
 }
 
+// shortWriter accepts the first limit bytes and fails every write that
+// would pass them, writing what still fits — a disk filling up mid-write.
+type shortWriter struct {
+	limit, n int
+	err      error
+}
+
+// Write implements io.Writer.
+func (w *shortWriter) Write(p []byte) (int, error) {
+	if w.n+len(p) <= w.limit {
+		w.n += len(p)
+		return len(p), nil
+	}
+	k := w.limit - w.n
+	w.n = w.limit
+	return k, w.err
+}
+
+// Close implements io.Closer.
+func (w *shortWriter) Close() error { return nil }
+
+// TestWritePackedShortWrites cuts the packed write off after every byte
+// count k from 0 to the file size: WritePacked, and SaveFile on an .esc
+// path through the createFile seam, must return the writer's error for
+// every k short of the size and succeed at the size.
+func TestWritePackedShortWrites(t *testing.T) {
+	errShort := errors.New("write failed: no space left on device")
+	labelled, rm := loadTestGraph(t, testEdgeListText(8, 20, 3))
+	orig := createFile
+	t.Cleanup(func() { createFile = orig })
+	for _, tc := range []struct {
+		name string
+		g    *Graph
+		rm   *Remapper
+	}{
+		{"labelled", labelled, rm},
+		{"identity", MustFromEdges(4, []Edge{{0, 1}, {1, 2}, {2, 3}}), nil},
+	} {
+		size := int(newPackLayout(tc.g.NumNodes(), tc.g.NumEdges(), identityLabels(tc.rm, tc.g.NumNodes())).total)
+		for k := 0; k <= size; k++ {
+			want := errShort
+			if k == size {
+				want = nil
+			}
+			err := WritePacked(&shortWriter{limit: k, err: errShort}, tc.g, tc.rm, PackWriteOptions{})
+			if !errors.Is(err, want) {
+				t.Fatalf("%s: WritePacked cut after %d of %d bytes = %v, want %v", tc.name, k, size, err, want)
+			}
+			createFile = func(string) (io.WriteCloser, error) { return &shortWriter{limit: k, err: errShort}, nil }
+			if err := SaveFile("g.esc", tc.g, tc.rm); !errors.Is(err, want) {
+				t.Fatalf("%s: SaveFile cut after %d of %d bytes = %v, want %v", tc.name, k, size, err, want)
+			}
+		}
+	}
+}
+
 func TestWriteFileWithRealFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "out.txt")
 	if err := writeFileWith(path, func(w io.Writer) error {
@@ -70,7 +126,7 @@ func TestWriteFileWithRealFile(t *testing.T) {
 	}
 }
 
-// TestCSRBounds pins the int32 slot-index guard shared by buildCSR and the
+// TestCSRBounds pins the int32 slot-index guard shared by newGraph and the
 // packed writers.
 func TestCSRBounds(t *testing.T) {
 	if err := csrBounds(10, 20); err != nil {

@@ -62,17 +62,19 @@ func BenchmarkEdgeListWrite(b *testing.B) {
 	}
 }
 
+// BenchmarkCSRBuild times the Graph constructor alone: degree count and
+// slot fill from a sorted canonical edge list.
 func BenchmarkCSRBuild(b *testing.B) {
 	g := microGraph(b, 10000, 50000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buildCSR(g)
+		newGraph(g.NumNodes(), g.Edges())
 	}
 }
 
 // BenchmarkAdjTraversal vs BenchmarkCSRTraversal: full sweep over every
-// adjacency entry through the slice-of-slices layout and the flat CSR view —
-// the per-visit cost difference that the Brandes rewrite rides on.
+// adjacency entry, node by node through Neighbors and flat over Targets —
+// the per-node slicing cost a flat kernel loop avoids.
 func BenchmarkAdjTraversal(b *testing.B) {
 	g := microGraph(b, 10000, 50000)
 	b.ResetTimer()

@@ -10,13 +10,13 @@ import (
 	"edgeshed/internal/obs"
 )
 
-// Loading an ESC1 file is one mmap plus pointer fixups: every CSR array —
-// Offsets, Targets, EdgeID, Mate, EdgeU, EdgeV — and the canonical []Edge
-// list is a slice header pointed into the page-aligned mapping, so a
-// billion-edge graph "loads" without per-edge work and pages in lazily as
+// Loading an ESC1 file is one mmap plus pointer fixups: every array of the
+// Graph — Offsets, Targets, EdgeID, Mate and the canonical []Edge list — is
+// a slice header pointed into the page-aligned mapping, so a billion-edge
+// graph "loads" without per-node or per-edge work and pages in lazily as
 // kernels touch it. The only full passes over the data are the CRC-32C
-// verification and the structural validation, both straight-line integer
-// sweeps that run at memory speed.
+// verification and the index checks, both straight-line integer sweeps
+// that run at memory speed.
 //
 // Aliasing the mapping requires the file's little-endian layout to match
 // the host; on a big-endian host every section is decoded into heap copies
@@ -35,9 +35,9 @@ func dataPtr(b []byte) unsafe.Pointer {
 }
 
 // PackedGraph is an ESC1 file opened for reading: the Graph view over the
-// mapping, the label remapper, and the mapping's lifetime. The Graph (and
-// its CSR, adjacency and edge slices) aliases the mapping — after Close
-// those slices must not be touched. Callers that keep the graph for the
+// mapping, the label remapper, and the mapping's lifetime. The Graph (its
+// CSR arrays, neighbor lists and edge list) aliases the mapping — after
+// Close those slices must not be touched. Callers that keep the graph for the
 // process lifetime (every cmd binary) may simply never Close.
 type PackedGraph struct {
 	g       *Graph
@@ -55,14 +55,11 @@ func (p *PackedGraph) Graph() *Graph { return p.g }
 // file (the identity for dense inputs). Valid until Close.
 func (p *PackedGraph) Remapper() *Remapper { return p.rm }
 
-// Verify runs the deep structural cross-checks that loading skips for
-// speed: slot↔edge-id agreement and the mate involution. Loading already
+// Verify runs Graph.Validate over the mapped arrays. Loading already
 // checksummed the payload and bounds-checked every index; Verify
-// additionally proves the adjacency structure is the one the canonical edge
-// list describes. gpack -verify calls this.
-func (p *PackedGraph) Verify() error {
-	return verifyPacked(p.g.csr, p.g.edges)
-}
+// additionally proves that the adjacency and the canonical edge list agree.
+// gpack -verify calls this.
+func (p *PackedGraph) Verify() error { return p.g.Validate() }
 
 // Close unmaps the file. The Graph and Remapper must not be used
 // afterwards.
@@ -76,15 +73,18 @@ func (p *PackedGraph) Close() error {
 }
 
 // OpenPacked maps an ESC1 packed-CSR file and returns the graph view over
-// it. The payload checksum and the structural CSR invariants are verified
-// before the graph is handed out, so a truncated, bit-rotted or malformed
-// file never becomes a Graph.
+// it. Before the graph is handed out, the payload checksum, the bounds of
+// every index and the canonical edge list are verified, so a truncated,
+// bit-rotted or index-corrupt file never becomes a Graph and no kernel can
+// fault on one that does. Whether the adjacency agrees with the edge list
+// is not checked here (it costs several times the open); call Verify for
+// that.
 func OpenPacked(path string) (*PackedGraph, error) {
 	return openPackedObs(path, nil)
 }
 
 // openPackedObs is OpenPacked with ingest instrumentation: a "map" span
-// for the mmap + checksum + validation work and the ingest.bytes counter.
+// for the mmap + checksum + index-check work and the ingest.bytes counter.
 func openPackedObs(path string, sp *obs.Span) (*PackedGraph, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -132,32 +132,18 @@ func loadPacked(data []byte, size int64) (*PackedGraph, error) {
 		return nil, fmt.Errorf("graph: packed payload checksum %08x does not match header %08x (corrupt file)", sum, h.checksum)
 	}
 	n, m := h.n, h.m
-	c := &CSR{
-		Offsets: viewInt32s(data, l.offsetsOff, n+1),
-		Targets: viewInt32s(data, l.targetsOff, 2*m),
-		EdgeID:  viewInt32s(data, l.edgeIDOff, 2*m),
-		Mate:    viewInt32s(data, l.mateOff, 2*m),
-		EdgeU:   viewInt32s(data, l.edgeUOff, m),
-		EdgeV:   viewInt32s(data, l.edgeVOff, m),
+	g := &Graph{
+		csr: CSR{
+			Offsets: viewInt32s(data, l.offsetsOff, n+1),
+			Targets: viewInt32s(data, l.targetsOff, 2*m),
+			EdgeID:  viewInt32s(data, l.edgeIDOff, 2*m),
+			Mate:    viewInt32s(data, l.mateOff, 2*m),
+		},
+		edges: viewEdges(data, l.edgesOff, m),
 	}
-	edges := viewEdges(data, l.edgeUVOff, m)
-	if err := validatePacked(c, edges); err != nil {
+	if err := checkIndexes(&g.csr, g.edges); err != nil {
 		return nil, err
 	}
-	g := &Graph{
-		adj:   make([][]NodeID, n),
-		edges: edges,
-		csr:   c,
-	}
-	// Adjacency lists are sub-slices of the mapped Targets array — the
-	// per-node views validatePacked just proved sorted and symmetric.
-	for u := 0; u < n; u++ {
-		lo, hi := c.Offsets[u], c.Offsets[u+1]
-		g.adj[u] = c.Targets[lo:hi:hi]
-	}
-	// Mark the lazily-built CSR as already present so g.CSR() returns the
-	// mapped view instead of rebuilding it.
-	g.csrOnce.Do(func() {})
 
 	var rm *Remapper
 	if h.flags&packFlagIdentityLabels != 0 {
@@ -205,7 +191,7 @@ func viewInt64s(data []byte, off int64, count int) []int64 {
 	return out
 }
 
-// viewEdges returns the interleaved EdgeUV section as []Edge. Edge is two
+// viewEdges returns the interleaved Edges section as []Edge. Edge is two
 // int32 fields (U then V) with no padding, so on a little-endian host the
 // struct's byte image is exactly the file's.
 func viewEdges(data []byte, off int64, count int) []Edge {

@@ -6,22 +6,19 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"slices"
 	"sort"
-
-	"edgeshed/internal/par"
 )
 
 // The ESC1 packed-CSR format is the out-of-core substrate for SNAP-scale
-// graphs: the CSR view's arrays written to disk exactly as graph.CSR holds
-// them in memory, so loading is one mmap plus slice-header fixups with zero
+// graphs: a Graph's arrays written to disk exactly as it holds them in
+// memory, so loading is one mmap plus slice-header fixups with zero
 // per-edge parsing (see mmap.go): a .esc file *is* the graph.
 //
-// Layout, all little-endian:
+// Layout of format version 2, all little-endian:
 //
 //	header (64 bytes)
 //	  [0:4)   magic "ESC1"
-//	  [4:8)   uint32 format version (currently 1)
+//	  [4:8)   uint32 format version (currently 2)
 //	  [8:16)  uint64 flags (packFlagDegreeOrdered, packFlagIdentityLabels)
 //	  [16:24) uint64 |V|
 //	  [24:32) uint64 |E|
@@ -35,20 +32,25 @@ import (
 //	  Targets 2|E| × int32
 //	  EdgeID  2|E| × int32
 //	  Mate    2|E| × int32
-//	  EdgeU   |E| × int32
-//	  EdgeV   |E| × int32
-//	  EdgeUV  |E| × (int32 U, int32 V)  the canonical edge list, interleaved
+//	  Edges   |E| × (int32 U, int32 V)  the canonical edge list, interleaved
 //	                                    so it aliases directly as []Edge
 //
-// The payload checksum makes bit rot and truncation loud; the structural
-// validation on open (validatePacked) makes a well-checksummed but
-// malformed file — non-canonical edge order above all — equally loud.
+// A file is 64 + 8|V| (without the identity flag) + 4(|V|+1) + 32|E|
+// bytes. Version 1 also stored every endpoint a second time, as split
+// EdgeU/EdgeV sections; it is rejected by the version check.
+//
+// What loading proves is the payload checksum, the bounds of every index
+// and the canonical edge list (checkIndexes): a truncated, bit-rotted or
+// index-corrupt file never becomes a Graph, and no kernel can fault on one
+// that does. Loading does not prove that the adjacency and the edge list
+// agree — that is checkAgreement, behind Graph.Validate, PackedGraph.Verify
+// and gpack -verify — because it costs several times the whole open.
 
 // packMagic identifies an ESC1 packed-CSR file.
 var packMagic = [4]byte{'E', 'S', 'C', '1'}
 
 // packVersion is the current ESC1 format version.
-const packVersion = 1
+const packVersion = 2
 
 // packHeaderSize is the fixed byte size of the ESC1 header.
 const packHeaderSize = 64
@@ -96,9 +98,7 @@ type packLayout struct {
 	targetsOff int64
 	edgeIDOff  int64
 	mateOff    int64
-	edgeUOff   int64
-	edgeVOff   int64
-	edgeUVOff  int64
+	edgesOff   int64
 	total      int64 // total file size
 }
 
@@ -118,12 +118,8 @@ func newPackLayout(n, m int, identity bool) packLayout {
 	off += int64(2*m) * 4
 	l.mateOff = off
 	off += int64(2*m) * 4
-	l.edgeUOff = off
-	off += int64(m) * 4
-	l.edgeVOff = off
-	off += int64(m) * 4
-	l.edgeUVOff = off
-	off += int64(2*m) * 4
+	l.edgesOff = off
+	off += int64(m) * 8
 	l.total = off
 	return l
 }
@@ -186,8 +182,6 @@ func WritePacked(w io.Writer, g *Graph, rm *Remapper, opt PackWriteOptions) erro
 		enc.int32s(c.Targets)
 		enc.int32s(c.EdgeID)
 		enc.int32s(c.Mate)
-		enc.int32s(c.EdgeU)
-		enc.int32s(c.EdgeV)
 		enc.edges(g.Edges())
 	}
 
@@ -201,12 +195,7 @@ func WritePacked(w io.Writer, g *Graph, rm *Remapper, opt PackWriteOptions) erro
 
 	// Pass 2: header, then the payload for real.
 	var hdr [packHeaderSize]byte
-	copy(hdr[0:4], packMagic[:])
-	binary.LittleEndian.PutUint32(hdr[4:8], packVersion)
-	binary.LittleEndian.PutUint64(hdr[8:16], flags)
-	binary.LittleEndian.PutUint64(hdr[16:24], uint64(n))
-	binary.LittleEndian.PutUint64(hdr[24:32], uint64(m))
-	binary.LittleEndian.PutUint64(hdr[32:40], uint64(h.Sum32()))
+	putPackHeader(hdr[:], flags, n, m, h.Sum32())
 	bw := bufio.NewWriterSize(w, 1<<20)
 	if _, err := bw.Write(hdr[:]); err != nil {
 		return err
@@ -268,8 +257,11 @@ func relabelByDegree(g *Graph, rm *Remapper) (*Graph, *Remapper, error) {
 	for _, e := range g.Edges() {
 		keys = append(keys, packKey(newID[e.U], newID[e.V]))
 	}
-	slices.Sort(keys)
-	return graphFromKeys(n, keys), RemapperFromLabels(labels), nil
+	h, err := graphFromKeys(n, keys)
+	if err != nil {
+		return nil, nil, err
+	}
+	return h, RemapperFromLabels(labels), nil
 }
 
 // sectionEncoder streams typed arrays as little-endian bytes through a
@@ -344,6 +336,17 @@ func (enc *sectionEncoder) edges(es []Edge) {
 	}
 }
 
+// putPackHeader encodes an ESC1 header into hdr, reserved bytes zeroed.
+func putPackHeader(hdr []byte, flags uint64, n, m int, checksum uint32) {
+	copy(hdr[0:4], packMagic[:])
+	binary.LittleEndian.PutUint32(hdr[4:8], packVersion)
+	binary.LittleEndian.PutUint64(hdr[8:16], flags)
+	binary.LittleEndian.PutUint64(hdr[16:24], uint64(n))
+	binary.LittleEndian.PutUint64(hdr[24:32], uint64(m))
+	binary.LittleEndian.PutUint64(hdr[32:40], uint64(checksum))
+	clear(hdr[40:packHeaderSize])
+}
+
 // packHeader is the decoded ESC1 header.
 type packHeader struct {
 	flags    uint64
@@ -379,145 +382,4 @@ func parsePackHeader(data []byte, size int64) (packHeader, packLayout, error) {
 		return h, packLayout{}, fmt.Errorf("graph: packed file is %d bytes, want %d for |V|=%d |E|=%d (truncated or corrupt)", size, l.total, h.n, h.m)
 	}
 	return h, l, nil
-}
-
-// validatePacked checks the structural invariants of a decoded packed CSR
-// that loading must not proceed without: monotone offsets covering exactly
-// 2m slots, per-node target lists strictly ascending and in range, a
-// strictly ascending canonical edge list agreeing with EdgeU/EdgeV, and
-// every EdgeID/Mate entry inside its array's bounds so no kernel indexing
-// through them can fault. Everything is a sequential O(|V|+|E|) sweep over
-// the mapped arrays, sharded across GOMAXPROCS workers (the sweeps are
-// read-only and blocks are contiguous, so cross-block lookbacks like
-// edges[i-1] stay valid). The checksum catches bit rot; this catches
-// well-summed but malformed files — a non-canonical edge order above all.
-// The random-access cross-checks (mate involution, slot↔edge-id agreement)
-// live in verifyPacked, behind PackedGraph.Verify and gpack -verify,
-// because they cost several times the rest of the load path combined.
-func validatePacked(c *CSR, edges []Edge) error {
-	n, m := c.NumNodes(), len(edges)
-	if c.Offsets[0] != 0 {
-		return fmt.Errorf("graph: packed offsets start at %d, want 0", c.Offsets[0])
-	}
-	if int(c.Offsets[n]) != 2*m {
-		return fmt.Errorf("graph: packed offsets end at %d, want %d", c.Offsets[n], 2*m)
-	}
-
-	// Monotone offsets come first on their own: with the ends pinned at 0
-	// and 2m, monotonicity is what proves every per-node [lo, hi) below is
-	// in Targets' bounds, so the slot sweep must not start before the whole
-	// offsets array has passed.
-	workers := par.Workers(0, n+m)
-	errs := make([]error, workers)
-	par.Blocks(n, workers, func(w, blo, bhi int) {
-		for ui := blo; ui < bhi; ui++ {
-			if c.Offsets[ui] > c.Offsets[ui+1] {
-				errs[w] = fmt.Errorf("graph: packed offsets decrease at node %d", ui)
-				return
-			}
-		}
-	})
-	if err := firstErr(errs); err != nil {
-		return err
-	}
-
-	par.Blocks(m, workers, func(w, blo, bhi int) {
-		for i := blo; i < bhi; i++ {
-			e := edges[i]
-			if e.U < 0 || e.V >= NodeID(n) || e.U >= e.V {
-				errs[w] = fmt.Errorf("graph: packed edge %d = %v not canonical in [0,%d)", i, e, n)
-				return
-			}
-			if i > 0 {
-				prev := edges[i-1]
-				if prev.U > e.U || (prev.U == e.U && prev.V >= e.V) {
-					errs[w] = fmt.Errorf("graph: packed edge list not in canonical order at edge %d (%v after %v)", i, e, prev)
-					return
-				}
-			}
-			if c.EdgeU[i] != e.U || c.EdgeV[i] != e.V {
-				errs[w] = fmt.Errorf("graph: packed EdgeU/EdgeV disagree with edge %d = %v", i, e)
-				return
-			}
-		}
-	})
-	if err := firstErr(errs); err != nil {
-		return err
-	}
-
-	par.Blocks(n, workers, func(w, blo, bhi int) {
-		for ui := blo; ui < bhi; ui++ {
-			lo, hi := c.Offsets[ui], c.Offsets[ui+1]
-			for s := lo; s < hi; s++ {
-				v := c.Targets[s]
-				if v < 0 || int(v) >= n {
-					errs[w] = fmt.Errorf("graph: packed target %d at slot %d out of range [0,%d)", v, s, n)
-					return
-				}
-				if s > lo && c.Targets[s-1] >= v {
-					errs[w] = fmt.Errorf("graph: packed targets of node %d not strictly ascending at slot %d", ui, s)
-					return
-				}
-				if id := c.EdgeID[s]; id < 0 || int(id) >= m {
-					errs[w] = fmt.Errorf("graph: packed edge id %d at slot %d out of range [0,%d)", id, s, m)
-					return
-				}
-				if mate := c.Mate[s]; mate < 0 || int(mate) >= 2*m {
-					errs[w] = fmt.Errorf("graph: packed mate %d at slot %d out of range [0,%d)", mate, s, 2*m)
-					return
-				}
-			}
-		}
-	})
-	return firstErr(errs)
-}
-
-// verifyPacked runs the deep cross-checks validatePacked skips: every slot's
-// edge id resolves to the canonical edge it targets, and the mate pointer is
-// a true involution landing in the target node's range with matching edge
-// id. These are random-access sweeps — several times the cost of the whole
-// sequential load path — so they run only on explicit request
-// (PackedGraph.Verify, gpack -verify), not on every load; validatePacked has
-// already bounds-checked EdgeID and Mate, so kernels are memory-safe either
-// way.
-func verifyPacked(c *CSR, edges []Edge) error {
-	n, m := c.NumNodes(), len(edges)
-	workers := par.Workers(0, n+m)
-	errs := make([]error, workers)
-	par.Blocks(n, workers, func(w, blo, bhi int) {
-		for ui := blo; ui < bhi; ui++ {
-			u := NodeID(ui)
-			lo, hi := c.Offsets[ui], c.Offsets[ui+1]
-			for s := lo; s < hi; s++ {
-				v := c.Targets[s]
-				id := c.EdgeID[s]
-				if e := (Edge{u, v}.Canonical()); c.EdgeU[id] != e.U || c.EdgeV[id] != e.V {
-					errs[w] = fmt.Errorf("graph: packed slot %d claims edge id %d = (%d,%d), but targets %v", s, id, c.EdgeU[id], c.EdgeV[id], e)
-					return
-				}
-				mate := c.Mate[s]
-				if mate < c.Offsets[v] || mate >= c.Offsets[v+1] {
-					errs[w] = fmt.Errorf("graph: packed mate %d of slot %d outside node %d's range", mate, s, v)
-					return
-				}
-				if c.Targets[mate] != u || c.Mate[mate] != s || c.EdgeID[mate] != id {
-					errs[w] = fmt.Errorf("graph: packed mate involution broken at slot %d", s)
-					return
-				}
-			}
-		}
-	})
-	return firstErr(errs)
-}
-
-// firstErr returns the first non-nil error in worker order: blocks are
-// contiguous and each worker stops at its first failure, so this is the
-// earliest-index failure of the earliest failing block.
-func firstErr(errs []error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

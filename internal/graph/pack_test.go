@@ -66,8 +66,6 @@ func requireSameGraph(t *testing.T, got, want *Graph, gotRM, wantRM *Remapper) {
 		"Targets": {gc.Targets, wc.Targets},
 		"EdgeID":  {gc.EdgeID, wc.EdgeID},
 		"Mate":    {gc.Mate, wc.Mate},
-		"EdgeU":   {gc.EdgeU, wc.EdgeU},
-		"EdgeV":   {gc.EdgeV, wc.EdgeV},
 	} {
 		if len(pair[0]) != len(pair[1]) {
 			t.Fatalf("CSR %s length: got %d, want %d", name, len(pair[0]), len(pair[1]))
@@ -258,6 +256,15 @@ func TestPackedCorruption(t *testing.T) {
 		})
 		mustFail(t, path, "unsupported packed format version")
 	})
+	t.Run("version-1", func(t *testing.T) {
+		// Version 1 stored the endpoints again as split EdgeU/EdgeV
+		// sections; there is no reader for it.
+		path := pack(t)
+		rewritePacked(t, path, func(data []byte) {
+			binary.LittleEndian.PutUint32(data[4:8], 1)
+		})
+		mustFail(t, path, "unsupported packed format version 1")
+	})
 	t.Run("checksum-mismatch", func(t *testing.T) {
 		path := pack(t)
 		data, err := os.ReadFile(path)
@@ -281,20 +288,14 @@ func TestPackedCorruption(t *testing.T) {
 		path := pack(t)
 		l := newPackLayout(g.NumNodes(), g.NumEdges(), false)
 		rewritePacked(t, path, func(data []byte) {
-			// Swap edges 0 and 1 consistently across EdgeU, EdgeV, and the
-			// interleaved EdgeUV section, so the per-edge sections still
-			// agree and only the ordering invariant is violated.
-			swap := func(off, width int64) {
-				a := data[off : off+width]
-				b := data[off+width : off+2*width]
-				tmp := make([]byte, width)
-				copy(tmp, a)
-				copy(a, b)
-				copy(b, tmp)
-			}
-			swap(l.edgeUOff, 4)
-			swap(l.edgeVOff, 4)
-			swap(l.edgeUVOff, 8)
+			// Swap edges 0 and 1 of the Edges section, so only the
+			// ordering invariant is violated.
+			a := data[l.edgesOff : l.edgesOff+8]
+			b := data[l.edgesOff+8 : l.edgesOff+16]
+			var tmp [8]byte
+			copy(tmp[:], a)
+			copy(a, b)
+			copy(b, tmp[:])
 		})
 		mustFail(t, path, "canonical")
 	})

@@ -30,8 +30,9 @@ import (
 //     space — is deterministic and identical to the serial loader's. Edges
 //     are packed into canonical uint64 keys as they are remapped.
 //   - Indexing: keys are sorted and deduplicated (dropping duplicate edges
-//     in either orientation, as SNAP loaders do), then the Graph is built
-//     directly with counting passes — no Builder map, no per-node sort.
+//     in either orientation, as SNAP loaders do); the sorted keys are the
+//     canonical edge list the Graph constructor takes — no Builder map, no
+//     per-node sort.
 //
 // The result is bit-identical to the seed loader for every input, pinned by
 // the oracle test in snap_test.go.
@@ -78,8 +79,11 @@ func ReadEdgeListOpts(r io.Reader, opt EdgeListOptions) (*Graph, *Remapper, erro
 		return nil, nil, err
 	}
 	index := opt.Obs.Start("index")
-	g := graphFromKeys(rm.Len(), keys)
+	g, err := graphFromKeys(rm.Len(), keys)
 	index.End()
+	if err != nil {
+		return nil, nil, err
+	}
 	opt.Obs.Counter("ingest.edges").Add(int64(g.NumEdges()))
 	return g, rm, nil
 }
@@ -376,34 +380,18 @@ func parseInt64(tok []byte) (int64, bool) {
 }
 
 // graphFromKeys builds a Graph over n nodes from packed canonical edge
-// keys, sorting and deduplicating in place. Construction is counting-based:
-// one backing array holds all adjacency lists, and because keys sort in
-// canonical (U, V) order, each node's neighbor list comes out sorted with
-// no per-node sort — the same two-pass trick as SubgraphByIDs.
-func graphFromKeys(n int, keys []uint64) *Graph {
+// keys, sorting and deduplicating in place. Sorted keys are the canonical
+// edge list in order, so the constructor needs no edge re-sort and no
+// per-node sort.
+func graphFromKeys(n int, keys []uint64) (*Graph, error) {
 	slices.Sort(keys)
 	keys = slices.Compact(keys)
-	g := &Graph{
-		adj:   make([][]NodeID, n),
-		edges: make([]Edge, len(keys)),
+	if err := csrBounds(n, len(keys)); err != nil {
+		return nil, err
 	}
-	deg := make([]int32, n)
+	edges := make([]Edge, len(keys))
 	for i, k := range keys {
-		e := unpackKey(k)
-		g.edges[i] = e
-		deg[e.U]++
-		deg[e.V]++
+		edges[i] = unpackKey(k)
 	}
-	backing := make([]NodeID, 0, 2*len(keys))
-	for u, d := range deg {
-		if d > 0 {
-			g.adj[u] = backing[len(backing) : len(backing) : len(backing)+int(d)]
-			backing = backing[:len(backing)+int(d)]
-		}
-	}
-	for _, e := range g.edges {
-		g.adj[e.U] = append(g.adj[e.U], e.V)
-		g.adj[e.V] = append(g.adj[e.V], e.U)
-	}
-	return g
+	return newGraph(n, edges), nil
 }

@@ -2,58 +2,162 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+
+	"edgeshed/internal/par"
 )
 
 // Validate checks the structural invariants of g and returns the first
-// violation found, or nil. It is O(|V| + |E| log) and intended for tests and
-// for verifying graphs deserialized from untrusted inputs.
+// violation found, or nil. It is O(|V| + |E|), sharded across GOMAXPROCS
+// workers, and intended for tests and for verifying graphs read from
+// untrusted inputs (PackedGraph.Verify, gpack -verify).
 //
 // Invariants:
-//   - every edge is canonical (U <= V), in-range and loop-free;
-//   - the edge list is strictly sorted (hence duplicate-free);
-//   - adjacency lists are strictly sorted and mutually consistent with the
-//     edge list (same multiset of incidences, symmetric).
+//   - every edge is canonical (U < V) and in range, and the edge list is
+//     strictly sorted (hence duplicate-free and loop-free);
+//   - the CSR arrays are well formed: monotone offsets covering 2|E| slots,
+//     strictly ascending in-range targets per node, in-range edge ids and
+//     mates (checkIndexes, which every packed load also runs);
+//   - the adjacency is the one the edge list describes: every slot's edge
+//     id names the edge between its node and its target, and Mate pairs the
+//     two slots of every edge (checkAgreement). Targets strictly ascend, so
+//     a node has at most one slot per edge and 2|E| slots cover each edge
+//     exactly twice: adjacency and edge list hold the same incidences.
 func (g *Graph) Validate() error {
-	n := NodeID(len(g.adj))
-	for i, e := range g.edges {
-		if e.U > e.V {
-			return fmt.Errorf("graph: edge %v not canonical", e)
-		}
-		if e.U == e.V {
-			return fmt.Errorf("graph: self-loop %v", e)
-		}
-		if e.U < 0 || e.V >= n {
-			return fmt.Errorf("graph: edge %v out of range [0,%d)", e, n)
-		}
-		if i > 0 {
-			prev := g.edges[i-1]
-			if prev.U > e.U || (prev.U == e.U && prev.V >= e.V) {
-				return fmt.Errorf("graph: edge list not strictly sorted at %v after %v", e, prev)
-			}
-		}
+	c := g.CSR()
+	if err := checkIndexes(c, g.edges); err != nil {
+		return err
 	}
-	deg := make([]int, n)
-	for _, e := range g.edges {
-		deg[e.U]++
-		deg[e.V]++
+	return checkAgreement(c, g.edges)
+}
+
+// checkIndexes checks the invariants that no kernel may run without, and
+// that loading a packed file therefore proves: monotone offsets covering
+// exactly 2m slots, per-node target lists strictly ascending and in range,
+// a strictly ascending canonical edge list, and every EdgeID/Mate entry
+// inside its array's bounds so no kernel indexing through them can fault.
+// Everything is a sequential O(|V|+|E|) sweep, sharded across GOMAXPROCS
+// workers (the sweeps are read-only and blocks are contiguous, so
+// cross-block lookbacks like edges[i-1] stay valid).
+func checkIndexes(c *CSR, edges []Edge) error {
+	n, m := c.NumNodes(), len(edges)
+	if len(c.Targets) != 2*m || len(c.EdgeID) != 2*m || len(c.Mate) != 2*m {
+		return fmt.Errorf("graph: CSR slot arrays hold %d/%d/%d entries, want %d", len(c.Targets), len(c.EdgeID), len(c.Mate), 2*m)
 	}
-	for u, a := range g.adj {
-		if len(a) != deg[u] {
-			return fmt.Errorf("graph: node %d adjacency length %d != incidence count %d", u, len(a), deg[u])
-		}
-		if !sort.SliceIsSorted(a, func(i, j int) bool { return a[i] < a[j] }) {
-			return fmt.Errorf("graph: node %d adjacency not sorted", u)
-		}
-		for i := 1; i < len(a); i++ {
-			if a[i] == a[i-1] {
-				return fmt.Errorf("graph: node %d has duplicate neighbor %d", u, a[i])
+	if c.Offsets[0] != 0 {
+		return fmt.Errorf("graph: offsets start at %d, want 0", c.Offsets[0])
+	}
+	if int(c.Offsets[n]) != 2*m {
+		return fmt.Errorf("graph: offsets end at %d, want %d", c.Offsets[n], 2*m)
+	}
+
+	// Monotone offsets come first on their own: with the ends pinned at 0
+	// and 2m, monotonicity is what proves every per-node [lo, hi) below is
+	// in Targets' bounds, so the slot sweep must not start before the whole
+	// offsets array has passed.
+	workers := par.Workers(0, n+m)
+	errs := make([]error, workers)
+	par.Blocks(n, workers, func(w, blo, bhi int) {
+		for ui := blo; ui < bhi; ui++ {
+			if c.Offsets[ui] > c.Offsets[ui+1] {
+				errs[w] = fmt.Errorf("graph: offsets decrease at node %d", ui)
+				return
 			}
 		}
-		for _, v := range a {
-			if !g.HasEdge(NodeID(u), v) {
-				return fmt.Errorf("graph: adjacency (%d,%d) missing from edge index", u, v)
+	})
+	if err := firstErr(errs); err != nil {
+		return err
+	}
+
+	par.Blocks(m, workers, func(w, blo, bhi int) {
+		for i := blo; i < bhi; i++ {
+			e := edges[i]
+			if e.U < 0 || e.V >= NodeID(n) || e.U >= e.V {
+				errs[w] = fmt.Errorf("graph: edge %d = %v not canonical in [0,%d)", i, e, n)
+				return
 			}
+			if i > 0 {
+				prev := edges[i-1]
+				if prev.U > e.U || (prev.U == e.U && prev.V >= e.V) {
+					errs[w] = fmt.Errorf("graph: edge list not in canonical order at edge %d (%v after %v)", i, e, prev)
+					return
+				}
+			}
+		}
+	})
+	if err := firstErr(errs); err != nil {
+		return err
+	}
+
+	par.Blocks(n, workers, func(w, blo, bhi int) {
+		for ui := blo; ui < bhi; ui++ {
+			lo, hi := c.Offsets[ui], c.Offsets[ui+1]
+			for s := lo; s < hi; s++ {
+				v := c.Targets[s]
+				if v < 0 || int(v) >= n {
+					errs[w] = fmt.Errorf("graph: target %d at slot %d out of range [0,%d)", v, s, n)
+					return
+				}
+				if s > lo && c.Targets[s-1] >= v {
+					errs[w] = fmt.Errorf("graph: targets of node %d not strictly ascending at slot %d", ui, s)
+					return
+				}
+				if id := c.EdgeID[s]; id < 0 || int(id) >= m {
+					errs[w] = fmt.Errorf("graph: edge id %d at slot %d out of range [0,%d)", id, s, m)
+					return
+				}
+				if mate := c.Mate[s]; mate < 0 || int(mate) >= 2*m {
+					errs[w] = fmt.Errorf("graph: mate %d at slot %d out of range [0,%d)", mate, s, 2*m)
+					return
+				}
+			}
+		}
+	})
+	return firstErr(errs)
+}
+
+// checkAgreement runs the cross-checks checkIndexes skips, on arrays it has
+// passed: every slot's edge id resolves to the canonical edge it targets,
+// and the mate pointer is a true involution landing in the target node's
+// range with matching edge id. These are random-access sweeps — several
+// times the cost of a whole packed load — so loading does not run them;
+// Validate does.
+func checkAgreement(c *CSR, edges []Edge) error {
+	n, m := c.NumNodes(), len(edges)
+	workers := par.Workers(0, n+m)
+	errs := make([]error, workers)
+	par.Blocks(n, workers, func(w, blo, bhi int) {
+		for ui := blo; ui < bhi; ui++ {
+			u := NodeID(ui)
+			lo, hi := c.Offsets[ui], c.Offsets[ui+1]
+			for s := lo; s < hi; s++ {
+				v := c.Targets[s]
+				id := c.EdgeID[s]
+				if e := (Edge{u, v}.Canonical()); edges[id] != e {
+					errs[w] = fmt.Errorf("graph: slot %d claims edge id %d = %v, but targets %v", s, id, edges[id], e)
+					return
+				}
+				mate := c.Mate[s]
+				if mate < c.Offsets[v] || mate >= c.Offsets[v+1] {
+					errs[w] = fmt.Errorf("graph: mate %d of slot %d outside node %d's range", mate, s, v)
+					return
+				}
+				if c.Targets[mate] != u || c.Mate[mate] != s || c.EdgeID[mate] != id {
+					errs[w] = fmt.Errorf("graph: mate involution broken at slot %d", s)
+					return
+				}
+			}
+		}
+	})
+	return firstErr(errs)
+}
+
+// firstErr returns the first non-nil error in worker order: blocks are
+// contiguous and each worker stops at its first failure, so this is the
+// earliest-index failure of the earliest failing block.
+func firstErr(errs []error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
 	return nil
