@@ -16,7 +16,7 @@ package core
 import (
 	"fmt"
 	"math"
-	"slices"
+	"math/bits"
 
 	"edgeshed/internal/graph"
 )
@@ -63,12 +63,33 @@ func newResult(g *graph.Graph, p float64, edges []graph.Edge) (*Result, error) {
 	return &Result{Original: g, Reduced: sub, P: p}, nil
 }
 
-// newResultIDs assembles a Result from selected canonical edge ids, sorting
-// them in place. It produces exactly the graph newResult would for the same
-// edge set, through the id-native Graph.SubgraphByIDs fast path — no edge
-// hashing or re-sorting.
+// newResultIDs assembles a Result from selected canonical edge ids,
+// overwriting ids with the same ids in ascending order. It produces exactly
+// the graph newResult would for the same edge set, through the id-native
+// Graph.SubgraphByIDs fast path — no edge hashing or re-sorting. The order
+// comes from a bitset over the |E| canonical ids, O(|E|) where sorting
+// the ids would cost O(|ids| log |ids|); an id outside [0, |E|) or
+// selected twice is an error.
 func newResultIDs(g *graph.Graph, p float64, ids []int32) (*Result, error) {
-	slices.Sort(ids)
+	m := g.NumEdges()
+	set := make([]uint64, (m+63)/64)
+	for _, id := range ids {
+		if id < 0 || int(id) >= m {
+			return nil, fmt.Errorf("core: selected edge id %d outside [0,%d)", id, m)
+		}
+		w, bit := id>>6, uint64(1)<<(id&63)
+		if set[w]&bit != 0 {
+			return nil, fmt.Errorf("core: edge id %d selected twice", id)
+		}
+		set[w] |= bit
+	}
+	i := 0
+	for w, word := range set {
+		for ; word != 0; word &= word - 1 {
+			ids[i] = int32(w<<6 + bits.TrailingZeros64(word))
+			i++
+		}
+	}
 	sub, err := g.SubgraphByIDs(ids)
 	if err != nil {
 		return nil, err

@@ -19,6 +19,37 @@ func TestCheckPRejectsBadRatios(t *testing.T) {
 	}
 }
 
+// TestNewResultIDs pins the bitset ordering of selected ids: any order
+// gives the graph newResult builds from the same edges, with ids left
+// ascending, and an id selected twice or outside [0, |E|) is an error.
+func TestNewResultIDs(t *testing.T) {
+	g := gen.BarabasiAlbert(50, 2, 1)
+	ids := []int32{70, 5, 64, 63, 0, 95, 2}
+	want := make([]graph.Edge, 0, len(ids))
+	for _, id := range []int32{0, 2, 5, 63, 64, 70, 95} {
+		want = append(want, g.Edges()[id])
+	}
+	res, err := newResultIDs(g, 0.5, ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRes, err := newResult(g, 0.5, want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameReduction(t, "newResultIDs", res, wantRes)
+	for i := 1; i < len(ids); i++ {
+		if ids[i-1] >= ids[i] {
+			t.Fatalf("ids not left ascending: %v", ids)
+		}
+	}
+	for _, bad := range [][]int32{{3, 1, 3}, {0, 0}, {-1}, {int32(g.NumEdges())}} {
+		if _, err := newResultIDs(g, 0.5, bad); err == nil {
+			t.Errorf("newResultIDs(%v) accepted", bad)
+		}
+	}
+}
+
 func TestReducerNames(t *testing.T) {
 	if (CRR{}).Name() != "CRR" || (BM2{}).Name() != "BM2" || (Random{}).Name() != "Random" {
 		t.Error("reducer names do not match the paper's table headers")

@@ -195,10 +195,13 @@ func sweepSeed(seed int64, i int) int64 {
 // writes land on the worker's own shard.
 //
 // The whole pipeline is edge-id native: Phase 1 ranks int32 edge ids, Phase 2
-// swaps ids across the kept boundary and reads endpoints from the canonical
-// edge list by id (both endpoints of an edge share one cache line), and
-// edges materialize as new graph.Edge values only when the Result is
-// assembled. No step hashes an edge or touches a map.
+// swaps ids across the kept boundary, reads endpoints from the canonical
+// edge list by id (both endpoints of an edge share one cache line) and a
+// node's kept and expected degree from one 16-byte nodeRec, and loads a
+// group of attempts ahead so that their cache misses overlap (see rewire).
+// Edges materialize as new graph.Edge values only when the Result is
+// assembled, from the kept ids ordered by a bitset. No step hashes an edge
+// or touches a map.
 func (c CRR) reduce(g *graph.Graph, p float64, scores []float64, seed int64, parent *obs.Span, slot int) (*Result, error) {
 	if err := checkP(p); err != nil {
 		return nil, err
@@ -229,133 +232,10 @@ func (c CRR) reduce(g *graph.Graph, p float64, scores []float64, seed int64, par
 	kept := rankEdges(scores, seed)
 	rank.End()
 
-	edges := g.Edges()
-
-	// dis bookkeeping: dis(u) = degKept(u) − p·deg_G(u). The expected-degree
-	// term is constant per node, so precompute it once instead of multiplying
-	// inside every Phase 2 evaluation.
-	degKept := make([]int, g.NumNodes())
-	for _, id := range kept[:tgt] {
-		degKept[edges[id].U]++
-		degKept[edges[id].V]++
-	}
-	exp := make([]float64, g.NumNodes())
-	for u := range exp {
-		exp[u] = p * float64(g.Degree(graph.NodeID(u)))
-	}
-	dis := func(u graph.NodeID) float64 {
-		return float64(degKept[u]) - exp[u]
-	}
-
-	// Phase 2 (lines 7-13): random replacement attempts. For disjoint edge
-	// pairs the criterion below equals the paper's d1 + d2; when e1 and e2
-	// share an endpoint it evaluates the true Δ change, which the paper's
-	// independent formulas slightly misstate.
-	if tgt > 0 && tgt < m {
+	if tgt > 0 {
+		nodes := newNodeRecs(g, kept[:tgt], p)
 		rw := sp.Start("crr.phase2.rewire")
-		rng := rand.New(rand.NewSource(seed))
-		steps := c.steps(tgt)
-		rw.SetTotal(int64(steps))
-		// Live counters flush every rewireFlush attempts so a /metrics or
-		// /progress scrape mid-run sees Phase 2 advancing; the loop itself only
-		// pays a nil check per step when observability is off. The tallies stay
-		// plain locals (accepted resets per AdaptiveStop window, so it cannot
-		// serve as the run total) and the remainder folds in after the loop,
-		// making the final counter values independent of scrape timing.
-		var attCtr, accCtr *obs.Counter
-		var deltaHist *obs.Histogram
-		var flushMk *obs.Marker
-		var qDelta, qRate, qLinf *obs.Probe
-		var curDelta float64
-		if rw.Enabled() {
-			attCtr = rw.Counter("crr.rewire.attempts")
-			accCtr = rw.Counter("crr.rewire.accepted")
-			deltaHist = rw.Histogram("crr.delta_abs_micros")
-			flushMk = rw.Marker(obs.EvRewireFlush, "crr.phase2.rewire")
-			// Quality probes (DESIGN.md §12): the Δ trajectory is maintained
-			// incrementally from the accepted swap deltas the loop already
-			// computes, so its upkeep is one add per accepted swap; the L∞
-			// error is a read-only O(|V|) scan run only at flush cadence.
-			qDelta = rw.Quality("crr.delta", obs.DirLower)
-			qRate = rw.Quality("crr.accept_rate", obs.DirInfo)
-			qLinf = rw.Quality("crr.deg_err_linf", obs.DirLower)
-			for u := range degKept {
-				curDelta += math.Abs(float64(degKept[u]) - exp[u])
-			}
-		}
-		accepted, window := 0, 0
-		attempts, acceptedTotal := 0, 0
-		flushedAtt, flushedAcc := 0, 0
-		for i := 0; i < steps; i++ {
-			attempts++
-			if attCtr != nil && attempts%rewireFlush == 0 {
-				attCtr.AddAt(slot, int64(attempts-flushedAtt))
-				accCtr.AddAt(slot, int64(acceptedTotal-flushedAcc))
-				rw.Done(int64(attempts - flushedAtt))
-				qDelta.RecordAt(slot, p, curDelta)
-				qRate.RecordAt(slot, p, float64(acceptedTotal-flushedAcc)/float64(attempts-flushedAtt))
-				qLinf.RecordAt(slot, p, maxAbsDis(degKept, exp))
-				flushedAtt, flushedAcc = attempts, acceptedTotal
-				flushMk.Emit(slot, int64(attempts))
-			}
-			ki := rng.Intn(tgt)         // e1 ∈ E'
-			si := tgt + rng.Intn(m-tgt) // e2 ∈ E \ E'
-			e1, e2 := kept[ki], kept[si]
-			// Remove e1, add e2.
-			u1, v1, u2, v2 := edges[e1].U, edges[e1].V, edges[e2].U, edges[e2].V
-			var d float64
-			if u1 != u2 && u1 != v2 && v1 != u2 && v1 != v2 {
-				// Disjoint endpoints — the overwhelmingly common case on a
-				// sparse graph. Evaluate the four independent shifts inline,
-				// in deltaChange's exact accumulation order, skipping its
-				// duplicate-folding pass and per-node closure calls.
-				du1 := float64(degKept[u1]) - exp[u1]
-				dv1 := float64(degKept[v1]) - exp[v1]
-				du2 := float64(degKept[u2]) - exp[u2]
-				dv2 := float64(degKept[v2]) - exp[v2]
-				d = math.Abs(du1-1) - math.Abs(du1)
-				d += math.Abs(dv1-1) - math.Abs(dv1)
-				d += math.Abs(du2+1) - math.Abs(du2)
-				d += math.Abs(dv2+1) - math.Abs(dv2)
-			} else {
-				d = deltaChange(dis, u1, v1, u2, v2)
-			}
-			if deltaHist != nil {
-				deltaHist.ObserveAt(slot, int64(math.Abs(d)*1e6))
-			}
-			if d < 0 {
-				kept[ki], kept[si] = e2, e1
-				degKept[u1]--
-				degKept[v1]--
-				degKept[u2]++
-				degKept[v2]++
-				accepted++
-				acceptedTotal++
-				if qDelta != nil {
-					curDelta += d
-				}
-			}
-			if c.AdaptiveStop > 0 {
-				window++
-				if window == adaptiveWindow {
-					if float64(accepted)/float64(window) < c.AdaptiveStop {
-						break
-					}
-					accepted, window = 0, 0
-				}
-			}
-		}
-		if rw.Enabled() {
-			attCtr.AddAt(slot, int64(attempts-flushedAtt))
-			accCtr.AddAt(slot, int64(acceptedTotal-flushedAcc))
-			rw.Done(int64(attempts - flushedAtt))
-			if attempts > flushedAtt {
-				qRate.RecordAt(slot, p, float64(acceptedTotal-flushedAcc)/float64(attempts-flushedAtt))
-			}
-			qDelta.RecordAt(slot, p, curDelta)
-			qLinf.RecordAt(slot, p, maxAbsDis(degKept, exp))
-			flushMk.Emit(slot, int64(attempts))
-		}
+		c.rewire(g.Edges(), kept, tgt, nodes, p, seed, rw, slot)
 		rw.End()
 	}
 	res, err := newResultIDs(g, p, kept[:tgt])
@@ -368,12 +248,207 @@ func (c CRR) reduce(g *graph.Graph, p float64, scores []float64, seed int64, par
 	return res, err
 }
 
-// maxAbsDis returns the L∞ degree-preservation error max_u |degKept(u) −
+// nodeRec is one node's Phase 2 state, dis(u) = kept − exp: its degree in
+// E' and its expected degree p·deg_G(u), which is constant and so computed
+// once. Side by side they cost an attempt one cache line per endpoint.
+type nodeRec struct {
+	kept int
+	exp  float64
+}
+
+// newNodeRecs returns every node's nodeRec for the kept edge ids.
+func newNodeRecs(g *graph.Graph, kept []int32, p float64) []nodeRec {
+	edges := g.Edges()
+	nodes := make([]nodeRec, g.NumNodes())
+	for u := range nodes {
+		nodes[u].exp = p * float64(g.Degree(graph.NodeID(u)))
+	}
+	for _, id := range kept {
+		nodes[edges[id].U].kept++
+		nodes[edges[id].V].kept++
+	}
+	return nodes
+}
+
+// rewireGroup is how many Phase 2 attempts load ahead together: enough
+// overlapping misses to run at memory speed on graphs larger than the
+// caches (DESIGN.md §7.1).
+const rewireGroup = 8
+
+// rewireAhead is what one Phase 2 attempt loads before its group runs: its
+// two slots, the ids they held, those edges, and the expected degrees of
+// the endpoints u1, v1, u2, v2.
+type rewireAhead struct {
+	ki, si   int
+	id1, id2 int32
+	e1, e2   graph.Edge
+	exp      [4]float64
+}
+
+// loadExp reads the expected degrees of a's endpoints.
+func (a *rewireAhead) loadExp(nodes []nodeRec) {
+	a.exp = [4]float64{nodes[a.e1.U].exp, nodes[a.e1.V].exp, nodes[a.e2.U].exp, nodes[a.e2.V].exp}
+}
+
+// rewire runs Phase 2 (Algorithm 1 lines 7-13) on the ranking kept, whose
+// first tgt ids are E', with nodes holding the degrees in E': c.steps(tgt)
+// random replacement attempts, each swapping the kept edge in slot ki for
+// the shed edge in slot si when that strictly lowers Δ. For disjoint edge
+// pairs the criterion equals the paper's d1 + d2; when the edges share an
+// endpoint it evaluates the true Δ change, which the paper's independent
+// formulas slightly misstate.
+//
+// An attempt's two draws never read the state, so attempts run in groups
+// of rewireGroup that load ahead: draw the group's slots in the same order
+// and read the ids in them, then those edges, then the endpoints'
+// expected degrees, one pass each, so that a pass's misses overlap. Then
+// the attempts run in order. Each re-reads its two slots and its
+// endpoints' kept degrees, so it sees the swaps made earlier in its group.
+// It takes its edges and expected degrees, which no swap changes, from
+// the loads ahead, and reloads them only when a swap has moved another id
+// into one of its slots. Taking them from the loads ahead is what keeps
+// those loads: Go has no prefetch and drops a load whose value is unused.
+// Counter flushes, the Δ histogram and AdaptiveStop stay per attempt; the
+// draws of a group cut short by AdaptiveStop are dropped with the rng.
+func (c CRR) rewire(edges []graph.Edge, kept []int32, tgt int, nodes []nodeRec, p float64, seed int64, rw *obs.Span, slot int) {
+	m := len(kept)
+	dis := func(u graph.NodeID) float64 {
+		return float64(nodes[u].kept) - nodes[u].exp
+	}
+	rng := rand.New(rand.NewSource(seed))
+	steps := c.steps(tgt)
+	rw.SetTotal(int64(steps))
+	// Live counters flush every rewireFlush attempts so a /metrics or
+	// /progress scrape mid-run sees Phase 2 advancing; the loop itself only
+	// pays a nil check per step when observability is off. The tallies stay
+	// plain locals (accepted resets per AdaptiveStop window, so it cannot
+	// serve as the run total) and the remainder folds in after the loop,
+	// making the final counter values independent of scrape timing.
+	var attCtr, accCtr *obs.Counter
+	var deltaHist *obs.Histogram
+	var flushMk *obs.Marker
+	var qDelta, qRate, qLinf *obs.Probe
+	var curDelta float64
+	if rw.Enabled() {
+		attCtr = rw.Counter("crr.rewire.attempts")
+		accCtr = rw.Counter("crr.rewire.accepted")
+		deltaHist = rw.Histogram("crr.delta_abs_micros")
+		flushMk = rw.Marker(obs.EvRewireFlush, "crr.phase2.rewire")
+		// Quality probes (DESIGN.md §12): the Δ trajectory is maintained
+		// incrementally from the accepted swap deltas the loop already
+		// computes, so its upkeep is one add per accepted swap; the L∞
+		// error is a read-only O(|V|) scan run only at flush cadence.
+		qDelta = rw.Quality("crr.delta", obs.DirLower)
+		qRate = rw.Quality("crr.accept_rate", obs.DirInfo)
+		qLinf = rw.Quality("crr.deg_err_linf", obs.DirLower)
+		for u := range nodes {
+			curDelta += math.Abs(dis(graph.NodeID(u)))
+		}
+	}
+	accepted, window := 0, 0
+	attempts, acceptedTotal := 0, 0
+	flushedAtt, flushedAcc := 0, 0
+	var ahead [rewireGroup]rewireAhead
+run:
+	for attempts < steps {
+		grp := ahead[:min(rewireGroup, steps-attempts)]
+		for i := range grp {
+			a := &grp[i]
+			a.ki = rng.Intn(tgt)         // e1 ∈ E'
+			a.si = tgt + rng.Intn(m-tgt) // e2 ∈ E \ E'
+			a.id1, a.id2 = kept[a.ki], kept[a.si]
+		}
+		for i := range grp {
+			a := &grp[i]
+			a.e1, a.e2 = edges[a.id1], edges[a.id2]
+		}
+		for i := range grp {
+			grp[i].loadExp(nodes)
+		}
+		for i := range grp {
+			a := &grp[i]
+			attempts++
+			if attCtr != nil && attempts%rewireFlush == 0 {
+				attCtr.AddAt(slot, int64(attempts-flushedAtt))
+				accCtr.AddAt(slot, int64(acceptedTotal-flushedAcc))
+				rw.Done(int64(attempts - flushedAtt))
+				qDelta.RecordAt(slot, p, curDelta)
+				qRate.RecordAt(slot, p, float64(acceptedTotal-flushedAcc)/float64(attempts-flushedAtt))
+				qLinf.RecordAt(slot, p, maxAbsDis(nodes))
+				flushedAtt, flushedAcc = attempts, acceptedTotal
+				flushMk.Emit(slot, int64(attempts))
+			}
+			if id1, id2 := kept[a.ki], kept[a.si]; id1 != a.id1 || id2 != a.id2 {
+				// An earlier swap in this group moved another edge into one
+				// of the slots.
+				a.id1, a.id2 = id1, id2
+				a.e1, a.e2 = edges[id1], edges[id2]
+				a.loadExp(nodes)
+			}
+			// Remove e1, add e2.
+			u1, v1, u2, v2 := a.e1.U, a.e1.V, a.e2.U, a.e2.V
+			var d float64
+			if u1 != u2 && u1 != v2 && v1 != u2 && v1 != v2 {
+				// Disjoint endpoints — the overwhelmingly common case on a
+				// sparse graph. Evaluate the four independent shifts inline,
+				// in deltaChange's exact accumulation order, skipping its
+				// duplicate-folding pass and per-node closure calls.
+				du1 := float64(nodes[u1].kept) - a.exp[0]
+				dv1 := float64(nodes[v1].kept) - a.exp[1]
+				du2 := float64(nodes[u2].kept) - a.exp[2]
+				dv2 := float64(nodes[v2].kept) - a.exp[3]
+				d = math.Abs(du1-1) - math.Abs(du1)
+				d += math.Abs(dv1-1) - math.Abs(dv1)
+				d += math.Abs(du2+1) - math.Abs(du2)
+				d += math.Abs(dv2+1) - math.Abs(dv2)
+			} else {
+				d = deltaChange(dis, u1, v1, u2, v2)
+			}
+			if deltaHist != nil {
+				deltaHist.ObserveAt(slot, int64(math.Abs(d)*1e6))
+			}
+			if d < 0 {
+				kept[a.ki], kept[a.si] = a.id2, a.id1
+				nodes[u1].kept--
+				nodes[v1].kept--
+				nodes[u2].kept++
+				nodes[v2].kept++
+				accepted++
+				acceptedTotal++
+				if qDelta != nil {
+					curDelta += d
+				}
+			}
+			if c.AdaptiveStop > 0 {
+				window++
+				if window == adaptiveWindow {
+					if float64(accepted)/float64(window) < c.AdaptiveStop {
+						break run
+					}
+					accepted, window = 0, 0
+				}
+			}
+		}
+	}
+	if rw.Enabled() {
+		attCtr.AddAt(slot, int64(attempts-flushedAtt))
+		accCtr.AddAt(slot, int64(acceptedTotal-flushedAcc))
+		rw.Done(int64(attempts - flushedAtt))
+		if attempts > flushedAtt {
+			qRate.RecordAt(slot, p, float64(acceptedTotal-flushedAcc)/float64(attempts-flushedAtt))
+		}
+		qDelta.RecordAt(slot, p, curDelta)
+		qLinf.RecordAt(slot, p, maxAbsDis(nodes))
+		flushMk.Emit(slot, int64(attempts))
+	}
+}
+
+// maxAbsDis returns the L∞ degree-preservation error max_u |kept(u) −
 // exp(u)|.
-func maxAbsDis(degKept []int, exp []float64) float64 {
+func maxAbsDis(nodes []nodeRec) float64 {
 	var worst float64
-	for u := range degKept {
-		if d := math.Abs(float64(degKept[u]) - exp[u]); d > worst {
+	for _, r := range nodes {
+		if d := math.Abs(float64(r.kept) - r.exp); d > worst {
 			worst = d
 		}
 	}

@@ -97,15 +97,27 @@ func BenchmarkCRRSweepSerial(b *testing.B) { benchCRRSweep(b, 1) }
 
 func BenchmarkCRRSweepParallel(b *testing.B) { benchCRRSweep(b, 0) }
 
+// BenchmarkCRRPhase2Only times the rewiring loop alone on a fixed random
+// ranking at p = 0.5 and reports ns per attempt. BA(5000,4)'s Phase 2
+// arrays fit in L2; BA(200000,4)'s (~8·10^5 edges) do not.
 func BenchmarkCRRPhase2Only(b *testing.B) {
-	// Isolate the rewiring loop's throughput: random importance skips the
-	// betweenness computation entirely.
-	g := gen.BarabasiAlbert(5000, 4, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := (CRR{Seed: 1, Importance: ImportanceRandom}).Reduce(g, 0.5); err != nil {
-			b.Fatal(err)
-		}
+	for _, n := range []int{5000, 200000} {
+		b.Run(fmt.Sprintf("BA(%d,4)", n), func(b *testing.B) {
+			g := gen.BarabasiAlbert(n, 4, 1)
+			c := CRR{Seed: 1, Importance: ImportanceRandom}
+			tgt := targetEdges(g, 0.5)
+			ranked := rankEdges(c.edgeImportance(g, nil), c.Seed)
+			kept := make([]int32, len(ranked))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				copy(kept, ranked)
+				nodes := newNodeRecs(g, kept[:tgt], 0.5)
+				b.StartTimer()
+				c.rewire(g.Edges(), kept, tgt, nodes, 0.5, c.Seed, nil, 0)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*c.steps(tgt)), "ns/attempt")
+		})
 	}
 }
 

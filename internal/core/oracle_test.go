@@ -24,20 +24,24 @@ import (
 	"edgeshed/internal/graph"
 	"edgeshed/internal/graph/gen"
 	"edgeshed/internal/matching"
+	"edgeshed/internal/obs"
 )
 
 // seedCRRPhase2 is CRR.reduce as it stood before the edge-id migration —
 // kept edges as graph.Edge values, discrepancies recomputed from
-// g.Degree — except that Phase 1 uses the shared rankEdges order, so the
-// comparison isolates the representation change.
-func seedCRRPhase2(c CRR, g *graph.Graph, p float64, seed int64) (*Result, error) {
+// g.Degree, one attempt drawn and run at a time — except that Phase 1 uses
+// the shared rankEdges order, so the comparison isolates the
+// representation change. It also returns Phase 2's attempt and accept
+// counts.
+func seedCRRPhase2(c CRR, g *graph.Graph, p float64, seed int64) (res *Result, attempts, acceptedTotal int, err error) {
 	if err := checkP(p); err != nil {
-		return nil, err
+		return nil, 0, 0, err
 	}
 	tgt := targetEdges(g, p)
 	m := g.NumEdges()
 	if tgt >= m {
-		return newResult(g, p, g.Edges())
+		res, err := newResult(g, p, g.Edges())
+		return res, 0, 0, err
 	}
 	scores := c.edgeImportance(g, nil)
 	order := rankEdges(scores, seed)
@@ -59,6 +63,7 @@ func seedCRRPhase2(c CRR, g *graph.Graph, p float64, seed int64) (*Result, error
 		steps := c.steps(tgt)
 		accepted, window := 0, 0
 		for i := 0; i < steps; i++ {
+			attempts++
 			ki := rng.Intn(tgt)
 			si := tgt + rng.Intn(m-tgt)
 			e1, e2 := kept[ki], kept[si]
@@ -70,6 +75,7 @@ func seedCRRPhase2(c CRR, g *graph.Graph, p float64, seed int64) (*Result, error
 				degKept[e2.U]++
 				degKept[e2.V]++
 				accepted++
+				acceptedTotal++
 			}
 			if c.AdaptiveStop > 0 {
 				window++
@@ -82,7 +88,8 @@ func seedCRRPhase2(c CRR, g *graph.Graph, p float64, seed int64) (*Result, error
 			}
 		}
 	}
-	return newResult(g, p, kept[:tgt])
+	res, err = newResult(g, p, kept[:tgt])
+	return res, attempts, acceptedTotal, err
 }
 
 // seedCRRReduce is the complete pre-migration CRR pipeline, including the
@@ -316,24 +323,68 @@ func sameReduction(t *testing.T, label string, got, want *Result) {
 	}
 }
 
+// TestCRRMatchesSeedPhase2 pins Phase 2, which loads rewireGroup attempts
+// ahead, to the oracle, which runs one attempt at a time. Step counts of 1,
+// 7 and 9 leave a ragged last group, 2^20 + 3 also crosses the counter
+// flush. On six edges at p = 0.5 every group draws the three kept slots
+// again and again, so an attempt must see the swaps made earlier in its
+// group; attempts that read a slot's id or its edge as loaded ahead give
+// other edges there.
 func TestCRRMatchesSeedPhase2(t *testing.T) {
-	for name, g := range oracleGraphs() {
+	graphs := oracleGraphs()
+	graphs["six-edges"] = graph.MustFromEdges(5, []graph.Edge{{U: 0, V: 2}, {U: 0, V: 4}, {U: 1, V: 2}, {U: 1, V: 3}, {U: 1, V: 4}, {U: 2, V: 3}})
+	for name, g := range graphs {
 		for _, c := range []CRR{
 			{Seed: 3, Importance: ImportanceDegreeProduct},
 			{Seed: 5, Importance: ImportanceRandom},
 			{Seed: 7, Importance: ImportanceDegreeProduct, AdaptiveStop: 0.02},
+			{Seed: 11, Importance: ImportanceRandom, Steps: 1},
+			{Seed: 13, Importance: ImportanceDegreeProduct, Steps: 7},
+			{Seed: 17, Importance: ImportanceRandom, Steps: 9},
+			{Seed: 19, Importance: ImportanceRandom, Steps: 1<<20 + 3},
 		} {
 			for _, p := range []float64{0.2, 0.5, 0.8} {
 				got, err := c.Reduce(g, p)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := seedCRRPhase2(c, g, p, c.Seed)
+				want, _, _, err := seedCRRPhase2(c, g, p, c.Seed)
 				if err != nil {
 					t.Fatal(err)
 				}
-				sameReduction(t, fmt.Sprintf("%s %v p=%v", name, c.Importance, p), got, want)
+				sameReduction(t, fmt.Sprintf("%s %v steps=%d p=%v", name, c.Importance, c.Steps, p), got, want)
 			}
+		}
+	}
+}
+
+// TestCRRRewireCountersMatchSeedPhase2 runs Phase 2 with a live recorder
+// across the 2^20-attempt counter flush and to an AdaptiveStop: the kept
+// edges and the crr.rewire.attempts and crr.rewire.accepted counters must
+// equal the oracle's.
+func TestCRRRewireCountersMatchSeedPhase2(t *testing.T) {
+	g := oracleGraphs()["barabasi-albert"]
+	for _, c := range []CRR{
+		{Seed: 19, Importance: ImportanceRandom, Steps: 1<<20 + 3},
+		{Seed: 7, Importance: ImportanceDegreeProduct, AdaptiveStop: 0.02},
+	} {
+		want, attempts, accepted, err := seedCRRPhase2(c, g, 0.5, c.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := obs.New("test")
+		c.Obs = rec.Root()
+		got, err := c.Reduce(g, 0.5)
+		rec.Root().End()
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprintf("steps=%d adaptive=%v", c.Steps, c.AdaptiveStop)
+		sameReduction(t, label, got, want)
+		vals := rec.CounterValues()
+		if vals["crr.rewire.attempts"] != int64(attempts) || vals["crr.rewire.accepted"] != int64(accepted) {
+			t.Fatalf("%s: counters attempts=%d accepted=%d, oracle %d and %d", label,
+				vals["crr.rewire.attempts"], vals["crr.rewire.accepted"], attempts, accepted)
 		}
 	}
 }
@@ -346,7 +397,7 @@ func TestCRRBetweennessMatchesSeedPhase2(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := seedCRRPhase2(c, g, p, c.Seed)
+		want, _, _, err := seedCRRPhase2(c, g, p, c.Seed)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -119,7 +119,7 @@ func PackEdgeListFile(inPath, outPath string, opt PackOptions) (*PackStats, erro
 		buf = buf[:0]
 		return nil
 	}
-	rm, err := scanEdgeList(in, elOpt, func(key uint64) error {
+	rm, err := scanEdgeList(in, elOpt, ingestChunkSize, func(key uint64) error {
 		buf = append(buf, key)
 		if len(buf) == cap(buf) {
 			return spill()

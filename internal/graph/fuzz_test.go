@@ -2,14 +2,21 @@ package graph
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
+	"slices"
 	"strings"
 	"testing"
 )
 
 // FuzzReadEdgeList asserts the text parser never panics and that any graph
-// it accepts satisfies the package invariants.
+// it accepts satisfies the package invariants. Each input is also parsed in
+// chunks of 1, 2 and 7 bytes as well as the default, at 1 and 3 workers, so
+// that small inputs cross chunk boundaries: the graph, the labels and any
+// error, line number included, must not change. An accepted graph written
+// back by WriteEdgeList must read back to the same labelled edge set.
 func FuzzReadEdgeList(f *testing.F) {
 	f.Add("1 2\n2 3\n")
 	f.Add("# comment\n\n10 20\n20 10\n10 10\n")
@@ -17,8 +24,16 @@ func FuzzReadEdgeList(f *testing.F) {
 	f.Add("a b")
 	f.Add("9223372036854775807 -9223372036854775808\n")
 	f.Add(strings.Repeat("1 2\n", 100))
+	f.Add("1 2\r\n\t3   4 extra\n# c\n5 6\n7\n")
+	f.Add("-1 -2\n-2 -3\n\n\n-3 -1\n4 x\n")
 	f.Fuzz(func(t *testing.T, data string) {
-		g, rm, err := ReadEdgeList(strings.NewReader(data))
+		g, rm, err := readEdgeList(strings.NewReader(data), EdgeListOptions{Workers: 1}, ingestChunkSize)
+		for _, chunk := range []int{1, 2, 7, ingestChunkSize} {
+			for _, workers := range []int{1, 3} {
+				g2, rm2, err2 := readEdgeList(strings.NewReader(data), EdgeListOptions{Workers: workers}, chunk)
+				requireEqualLoads(t, fmt.Sprintf("chunk %d, %d workers", chunk, workers), g, rm, err, g2, rm2, err2)
+			}
+		}
 		if err != nil {
 			return
 		}
@@ -28,7 +43,32 @@ func FuzzReadEdgeList(f *testing.F) {
 		if rm.Len() != g.NumNodes() {
 			t.Fatalf("remapper has %d labels for %d nodes", rm.Len(), g.NumNodes())
 		}
+		var buf bytes.Buffer
+		if err := WriteEdgeList(&buf, g, rm); err != nil {
+			t.Fatal(err)
+		}
+		g2, rm2, err := ReadEdgeList(&buf)
+		if err != nil {
+			t.Fatalf("written edge list does not read back: %v", err)
+		}
+		if !slices.Equal(labelledEdges(g, rm), labelledEdges(g2, rm2)) {
+			t.Fatalf("written edge list reads back as another labelled edge set")
+		}
 	})
+}
+
+// labelledEdges returns g's edges as sorted (smaller label, larger label)
+// pairs, which identify an edge whatever dense ids a load assigned.
+func labelledEdges(g *Graph, rm *Remapper) [][2]int64 {
+	out := make([][2]int64, 0, g.NumEdges())
+	for _, e := range g.Edges() {
+		a, b := rm.Label(e.U), rm.Label(e.V)
+		out = append(out, [2]int64{min(a, b), max(a, b)})
+	}
+	slices.SortFunc(out, func(x, y [2]int64) int {
+		return cmp.Or(cmp.Compare(x[0], y[0]), cmp.Compare(x[1], y[1]))
+	})
+	return out
 }
 
 // FuzzOpenPacked asserts that the ESC1 loader never panics and that no

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"strings"
 
 	"edgeshed/internal/obs"
@@ -12,12 +13,15 @@ import (
 
 // WriteEdgeList writes g in the SNAP edge-list format with a leading comment
 // header. If rm is non-nil, dense ids are translated back to their original
-// labels; otherwise dense ids are written directly.
+// labels; otherwise dense ids are written directly. Each "u v" line is
+// formatted with strconv.AppendInt into one reused buffer, the same bytes
+// fmt's %d would give at several times the speed.
 func WriteEdgeList(w io.Writer, g *Graph, rm *Remapper) error {
 	bw := bufio.NewWriter(w)
 	if _, err := fmt.Fprintf(bw, "# Undirected graph: |V|=%d |E|=%d\n# u v\n", g.NumNodes(), g.NumEdges()); err != nil {
 		return err
 	}
+	var buf [42]byte // two int64s, a space and a newline
 	for _, e := range g.Edges() {
 		var u, v int64
 		if rm != nil {
@@ -25,7 +29,11 @@ func WriteEdgeList(w io.Writer, g *Graph, rm *Remapper) error {
 		} else {
 			u, v = int64(e.U), int64(e.V)
 		}
-		if _, err := fmt.Fprintf(bw, "%d %d\n", u, v); err != nil {
+		line := strconv.AppendInt(buf[:0], u, 10)
+		line = append(line, ' ')
+		line = strconv.AppendInt(line, v, 10)
+		line = append(line, '\n')
+		if _, err := bw.Write(line); err != nil {
 			return err
 		}
 	}

@@ -116,6 +116,33 @@ func TestWritePackedShortWrites(t *testing.T) {
 	}
 }
 
+// TestWriteEdgeListShortWrites cuts the text write off after every byte
+// count k from 0 to the output size: WriteEdgeList, and WriteEdgeListFile
+// through the createFile seam, must return the writer's error for every k
+// short of the size and succeed at the size.
+func TestWriteEdgeListShortWrites(t *testing.T) {
+	errShort := errors.New("write failed: no space left on device")
+	orig := createFile
+	t.Cleanup(func() { createFile = orig })
+	for _, tc := range edgeListGoldenCases() {
+		size := len(fmtEdgeList(tc.g, tc.rm))
+		for k := 0; k <= size; k++ {
+			want := errShort
+			if k == size {
+				want = nil
+			}
+			err := WriteEdgeList(&shortWriter{limit: k, err: errShort}, tc.g, tc.rm)
+			if !errors.Is(err, want) {
+				t.Fatalf("%s: WriteEdgeList cut after %d of %d bytes = %v, want %v", tc.name, k, size, err, want)
+			}
+			createFile = func(string) (io.WriteCloser, error) { return &shortWriter{limit: k, err: errShort}, nil }
+			if err := WriteEdgeListFile("g.txt", tc.g, tc.rm); !errors.Is(err, want) {
+				t.Fatalf("%s: WriteEdgeListFile cut after %d of %d bytes = %v, want %v", tc.name, k, size, err, want)
+			}
+		}
+	}
+}
+
 func TestWriteFileWithRealFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "out.txt")
 	if err := writeFileWith(path, func(w io.Writer) error {

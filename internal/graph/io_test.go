@@ -3,6 +3,8 @@ package graph
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -88,6 +90,66 @@ func TestEdgeListRoundTripWithRemapper(t *testing.T) {
 	out := buf.String()
 	if !strings.Contains(out, "7 9") || !strings.Contains(out, "9 11") {
 		t.Errorf("original labels not preserved:\n%s", out)
+	}
+}
+
+// fmtEdgeList is WriteEdgeList's output as fmt formats it, the golden
+// reference for the strconv writer.
+func fmtEdgeList(g *Graph, rm *Remapper) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "# Undirected graph: |V|=%d |E|=%d\n# u v\n", g.NumNodes(), g.NumEdges())
+	for _, e := range g.Edges() {
+		if rm != nil {
+			fmt.Fprintf(&sb, "%d %d\n", rm.Label(e.U), rm.Label(e.V))
+		} else {
+			fmt.Fprintf(&sb, "%d %d\n", e.U, e.V)
+		}
+	}
+	return sb.String()
+}
+
+// edgeListGoldenCases are an identity path and a labelled cycle whose
+// labels are negative and positive and reach both ends of the int64 range.
+// Both outputs pass bufio's 4096-byte buffer, so a writer error can strike
+// mid-list as well as at the final flush.
+func edgeListGoldenCases() []struct {
+	name string
+	g    *Graph
+	rm   *Remapper
+} {
+	path := make([]Edge, 599)
+	for i := range path {
+		path[i] = Edge{NodeID(i), NodeID(i + 1)}
+	}
+	const n = 150
+	labels := make([]int64, n)
+	cycle := make([]Edge, 0, n)
+	for i := range labels {
+		labels[i] = int64(i-n/2) * 61489146912365173
+		cycle = append(cycle, Edge{NodeID(i), NodeID((i + 1) % n)})
+	}
+	labels[0], labels[n-1] = math.MinInt64, math.MaxInt64
+	return []struct {
+		name string
+		g    *Graph
+		rm   *Remapper
+	}{
+		{"identity", MustFromEdges(600, path), nil},
+		{"labelled", MustFromEdges(n, cycle), RemapperFromLabels(labels)},
+	}
+}
+
+// TestWriteEdgeListMatchesFmt pins the writer's bytes, header included, to
+// fmt's %d formatting.
+func TestWriteEdgeListMatchesFmt(t *testing.T) {
+	for _, tc := range edgeListGoldenCases() {
+		var buf bytes.Buffer
+		if err := WriteEdgeList(&buf, tc.g, tc.rm); err != nil {
+			t.Fatalf("%s: WriteEdgeList: %v", tc.name, err)
+		}
+		if want := fmtEdgeList(tc.g, tc.rm); buf.String() != want {
+			t.Errorf("%s: WriteEdgeList wrote\n%s\nwant\n%s", tc.name, buf.String(), want)
+		}
 	}
 }
 

@@ -74,7 +74,14 @@ func ReadEdgeList(r io.Reader) (*Graph, *Remapper, error) {
 // ReadEdgeListOpts is ReadEdgeList with explicit worker-count and
 // observability options.
 func ReadEdgeListOpts(r io.Reader, opt EdgeListOptions) (*Graph, *Remapper, error) {
-	rm, keys, err := collectEdgeList(r, opt)
+	return readEdgeList(r, opt, ingestChunkSize)
+}
+
+// readEdgeList is ReadEdgeListOpts with parse chunks of about chunkSize
+// bytes. The graph, the remapper and any error do not depend on chunkSize;
+// tests pass tiny sizes so that small inputs cross chunk boundaries.
+func readEdgeList(r io.Reader, opt EdgeListOptions, chunkSize int) (*Graph, *Remapper, error) {
+	rm, keys, err := collectEdgeList(r, opt, chunkSize)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -136,9 +143,9 @@ type chunkResult struct {
 // collectEdgeList scans r and gathers every surviving edge key in memory —
 // the in-RAM loading path. The external-sort packer uses scanEdgeList
 // directly with a spilling emit instead.
-func collectEdgeList(r io.Reader, opt EdgeListOptions) (*Remapper, []uint64, error) {
+func collectEdgeList(r io.Reader, opt EdgeListOptions, chunkSize int) (*Remapper, []uint64, error) {
 	var keys []uint64
-	rm, err := scanEdgeList(r, opt, func(key uint64) error {
+	rm, err := scanEdgeList(r, opt, chunkSize, func(key uint64) error {
 		keys = append(keys, key)
 		return nil
 	})
@@ -149,12 +156,12 @@ func collectEdgeList(r io.Reader, opt EdgeListOptions) (*Remapper, []uint64, err
 }
 
 // scanEdgeList runs the chunk/parse/collect pipeline over r: it reads one
-// line-aligned chunk per worker, parses the group in parallel, then folds
-// the results in input order — so the first-seen remap is a pure function
-// of the input bytes, independent of the worker count. Each remapped
-// canonical edge key (self-loops already dropped, duplicates not) is
-// passed to emit in input order.
-func scanEdgeList(r io.Reader, opt EdgeListOptions, emit func(key uint64) error) (*Remapper, error) {
+// line-aligned chunk of about chunkSize bytes per worker, parses the group
+// in parallel, then folds the results in input order — so the first-seen
+// remap is a pure function of the input bytes, independent of the worker
+// count and the chunk size. Each remapped canonical edge key (self-loops
+// already dropped, duplicates not) is passed to emit in input order.
+func scanEdgeList(r io.Reader, opt EdgeListOptions, chunkSize int, emit func(key uint64) error) (*Remapper, error) {
 	parse := opt.Obs.Start("parse")
 	defer parse.End()
 	if opt.TotalBytes > 0 {
@@ -174,7 +181,7 @@ func scanEdgeList(r io.Reader, opt EdgeListOptions, emit func(key uint64) error)
 		group = group[:0]
 		var readErr error
 		for len(group) < workers {
-			chunk, err := readChunk(br)
+			chunk, err := readChunk(br, chunkSize)
 			if len(chunk) > 0 {
 				group = append(group, chunk)
 			}
@@ -221,11 +228,12 @@ func scanEdgeList(r io.Reader, opt EdgeListOptions, emit func(key uint64) error)
 	return rm, nil
 }
 
-// readChunk reads the next line-aligned chunk of about ingestChunkSize
-// bytes: a chunk ends on a newline unless the input does. It returns io.EOF
-// (possibly alongside a final chunk) when the input is exhausted.
-func readChunk(br *bufio.Reader) ([]byte, error) {
-	buf := make([]byte, ingestChunkSize)
+// readChunk reads the next line-aligned chunk: size bytes, extended to the
+// end of the line they stop in, so a chunk ends on a newline unless the
+// input does. It returns io.EOF (possibly alongside a final chunk) when
+// the input is exhausted.
+func readChunk(br *bufio.Reader, size int) ([]byte, error) {
+	buf := make([]byte, size)
 	n, err := io.ReadFull(br, buf)
 	buf = buf[:n]
 	switch err {

@@ -53,35 +53,44 @@ func requireSameLoad(t *testing.T, input string, workers int) {
 	t.Helper()
 	wantG, wantRM, wantErr := seedReadEdgeList(strings.NewReader(input))
 	gotG, gotRM, gotErr := ReadEdgeListOpts(strings.NewReader(input), EdgeListOptions{Workers: workers})
+	requireEqualLoads(t, "new loader against the oracle", wantG, wantRM, wantErr, gotG, gotRM, gotErr)
+	if gotErr == nil {
+		if err := gotG.Validate(); err != nil {
+			t.Fatalf("new loader's graph invalid: %v", err)
+		}
+	}
+}
+
+// requireEqualLoads asserts that two loads of one input agree exactly:
+// the same error text, or the same graph and the same labels.
+func requireEqualLoads(t *testing.T, what string, wantG *Graph, wantRM *Remapper, wantErr error, gotG *Graph, gotRM *Remapper, gotErr error) {
+	t.Helper()
 	if (wantErr == nil) != (gotErr == nil) {
-		t.Fatalf("error mismatch: oracle=%v new=%v", wantErr, gotErr)
+		t.Fatalf("%s: error mismatch: want %v, got %v", what, wantErr, gotErr)
 	}
 	if wantErr != nil {
 		if wantErr.Error() != gotErr.Error() {
-			t.Fatalf("error text mismatch:\noracle: %s\nnew:    %s", wantErr, gotErr)
+			t.Fatalf("%s: error text mismatch:\nwant: %s\ngot:  %s", what, wantErr, gotErr)
 		}
 		return
 	}
 	if gotG.NumNodes() != wantG.NumNodes() || gotG.NumEdges() != wantG.NumEdges() {
-		t.Fatalf("shape mismatch: new |V|=%d |E|=%d, oracle |V|=%d |E|=%d",
+		t.Fatalf("%s: shape mismatch: got |V|=%d |E|=%d, want |V|=%d |E|=%d", what,
 			gotG.NumNodes(), gotG.NumEdges(), wantG.NumNodes(), wantG.NumEdges())
 	}
 	wantEdges, gotEdges := wantG.Edges(), gotG.Edges()
 	for i := range wantEdges {
 		if wantEdges[i] != gotEdges[i] {
-			t.Fatalf("edge %d mismatch: new %v, oracle %v", i, gotEdges[i], wantEdges[i])
+			t.Fatalf("%s: edge %d mismatch: got %v, want %v", what, i, gotEdges[i], wantEdges[i])
 		}
 	}
 	if gotRM.Len() != wantRM.Len() {
-		t.Fatalf("remapper size mismatch: new %d, oracle %d", gotRM.Len(), wantRM.Len())
+		t.Fatalf("%s: remapper size mismatch: got %d, want %d", what, gotRM.Len(), wantRM.Len())
 	}
 	for u := 0; u < wantRM.Len(); u++ {
 		if gotRM.Label(NodeID(u)) != wantRM.Label(NodeID(u)) {
-			t.Fatalf("label of id %d: new %d, oracle %d", u, gotRM.Label(NodeID(u)), wantRM.Label(NodeID(u)))
+			t.Fatalf("%s: label of id %d: got %d, want %d", what, u, gotRM.Label(NodeID(u)), wantRM.Label(NodeID(u)))
 		}
-	}
-	if err := gotG.Validate(); err != nil {
-		t.Fatalf("new loader's graph invalid: %v", err)
 	}
 }
 
@@ -196,7 +205,7 @@ func TestParseInt64MatchesStrconv(t *testing.T) {
 // the external-sort packer) aborts the scan immediately.
 func TestScanEdgeListEmitError(t *testing.T) {
 	wantErr := fmt.Errorf("spill failed")
-	_, err := scanEdgeList(strings.NewReader("1 2\n3 4\n"), EdgeListOptions{}, func(uint64) error {
+	_, err := scanEdgeList(strings.NewReader("1 2\n3 4\n"), EdgeListOptions{}, ingestChunkSize, func(uint64) error {
 		return wantErr
 	})
 	if err != wantErr {
