@@ -40,13 +40,14 @@ func (r Rounding) apply(x float64) int {
 // them (Lemma 1), and greedily matches it with dynamic re-weighting
 // (Algorithm 3).
 //
-// The Algorithm 3 loop is edge-id native: the bipartite graph lives in a
-// matching.FlatPQ keyed by canonical edge id plus two slice-indexed
-// adjacency tables, with the A/B orientation of each queued edge recorded in
-// flat arrays — no maps, no per-edge Handle allocations. FlatPQ mirrors the
-// pointer-handle PQ's heap dynamics exactly, so the popped-edge order — and
-// with it the selected edge set — is bit-identical to the map-based
-// implementation this replaced (pinned by TestBM2MatchesSeedImplementation).
+// The Algorithm 3 loop allocates in proportion to its queue, not to |E|: the
+// k queued edges are numbered 0..k−1 in push order, and that dense slot keys
+// a matching.FlatPQ, a slot table of edge ids and A/B orientations, and one
+// run of slots per node — no maps, no per-edge Handle allocations. FlatPQ
+// mirrors the pointer-handle PQ's heap dynamics exactly and compares
+// priorities only, so the popped-edge order — and with it the selected edge
+// set — is bit-identical to the map-based implementation this replaced
+// (pinned by TestBM2MatchesSeedImplementation).
 type BM2 struct {
 	// Rounding is the capacity rounding rule; the zero value is the paper's
 	// round-half-up.
@@ -91,10 +92,9 @@ func (b BM2) Reduce(g *graph.Graph, p float64) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	selected := append([]int32(nil), bm.IDs...)
-	inSelected := make([]bool, g.NumEdges())
+	inSelected := make([]uint64, (g.NumEdges()+63)/64)
 	for _, id := range bm.IDs {
-		inSelected[id] = true
+		inSelected[id>>6] |= 1 << (id & 63)
 	}
 
 	// Degree discrepancies after Phase 1 (lines 8-16). Group membership is
@@ -107,9 +107,10 @@ func (b BM2) Reduce(g *graph.Graph, p float64) (*Result, error) {
 	inB := func(u graph.NodeID) bool { return dis[u] > -0.5 && dis[u] < 0 }
 
 	// Build the weighted bipartite graph G* over still-shed A–B edges
-	// (lines 17-24). Each queued edge is addressed by its canonical id; its
-	// (a ∈ A, b ∈ B) orientation — fixed at build time, since dis drifts
-	// during Algorithm 3 — lives in bpA/bpB.
+	// (lines 17-24). Queued edges are numbered 0..k−1 in push order
+	// (ascending canonical id); that slot keys the queue, the edge's id and
+	// its (a ∈ A, b ∈ B) orientation, fixed at build time since dis drifts
+	// during Algorithm 3.
 	gain := func(a, bb graph.NodeID) float64 {
 		return math.Abs(dis[a]) + 2*math.Abs(dis[bb]) - math.Abs(dis[a]+1) - 1
 	}
@@ -118,19 +119,23 @@ func (b BM2) Reduce(g *graph.Graph, p float64) (*Result, error) {
 	if phase2.Enabled() {
 		q.Stats = new(matching.PQStats)
 	}
-	bpA := make([]graph.NodeID, g.NumEdges())
-	bpB := make([]graph.NodeID, g.NumEdges())
-	adjA := make([][]int32, n)
-	adjB := make([][]int32, n)
+	type bpEdge struct {
+		id    int32
+		a, bb graph.NodeID
+	}
+	var bp []bpEdge
+	start := make([]int32, n+1) // node u's slots are run[start[u]:end[u]]
 	for i, e := range g.Edges() {
-		if inSelected[i] {
+		if inSelected[i>>6]&(1<<(i&63)) != 0 {
 			continue
 		}
+		// e.U's side is tested first: edges arrive sorted by U, so only
+		// dis[e.V] is a random read, and only for e.U in A or B.
 		var a, bb graph.NodeID
 		switch {
 		case inA(e.U) && inB(e.V):
 			a, bb = e.U, e.V
-		case inA(e.V) && inB(e.U):
+		case inB(e.U) && inA(e.V):
 			a, bb = e.V, e.U
 		default:
 			continue
@@ -139,11 +144,24 @@ func (b BM2) Reduce(g *graph.Graph, p float64) (*Result, error) {
 		if w < 0 || (w == 0 && b.DropZeroGain) {
 			continue
 		}
-		id := int32(i)
-		q.Push(id, w)
-		bpA[id], bpB[id] = a, bb
-		adjA[a] = append(adjA[a], id)
-		adjB[bb] = append(adjB[bb], id)
+		q.Push(int32(len(bp)), w)
+		bp = append(bp, bpEdge{int32(i), a, bb})
+		start[a+1]++
+		start[bb+1]++
+	}
+	// A node is in A or in B, never both, so one run per node holds its
+	// slots on whichever side it is: count (above), prefix sum, then fill
+	// in slot order, which is the order the slots were pushed.
+	for u := 0; u < n; u++ {
+		start[u+1] += start[u]
+	}
+	run := make([]int32, start[n])
+	end := append([]int32(nil), start[:n]...)
+	for s, e := range bp {
+		run[end[e.a]] = int32(s)
+		end[e.a]++
+		run[end[e.bb]] = int32(s)
+		end[e.bb]++
 	}
 	if q.Stats != nil {
 		// The queue is fully built; stamp the build on the flight timeline
@@ -166,12 +184,12 @@ func (b BM2) Reduce(g *graph.Graph, p float64) (*Result, error) {
 
 	// Algorithm 3: pop best edges, update discrepancies, re-weight.
 	for {
-		eid, popW, ok := q.Pop()
+		s, popW, ok := q.Pop()
 		if !ok {
 			break
 		}
-		a, bb := bpA[eid], bpB[eid]
-		selected = append(selected, eid)
+		a, bb := bp[s].a, bp[s].bb
+		bm.IDs = append(bm.IDs, bp[s].id)
 		if qWeight != nil {
 			matchWeight += popW
 			gainHist.Observe(int64(popW * 1e6))
@@ -182,10 +200,10 @@ func (b BM2) Reduce(g *graph.Graph, p float64) (*Result, error) {
 		}
 		// b joins group C (dis > 0): drop it and all its edges (line 6).
 		dis[bb]++
-		for _, id := range adjB[bb] {
-			q.Remove(id)
+		for _, t := range run[start[bb]:end[bb]] {
+			q.Remove(t)
 		}
-		adjB[bb] = nil
+		end[bb] = start[bb]
 		// Update a (line 7) and branch on its new discrepancy.
 		dis[a]++
 		switch {
@@ -196,26 +214,27 @@ func (b BM2) Reduce(g *graph.Graph, p float64) (*Result, error) {
 			// algorithm states the open interval (−1, −0.5); at exactly
 			// −0.5 the node is still in A per the group definition, so we
 			// re-weight there too.
-			live := adjA[a][:0]
-			for _, id := range adjA[a] {
-				if !q.Contains(id) {
+			live := start[a]
+			for _, t := range run[start[a]:end[a]] {
+				if !q.Contains(t) {
 					continue
 				}
-				w := gain(a, bpB[id])
+				w := gain(a, bp[t].bb)
 				if w > 0 {
-					q.Update(id, w)
-					live = append(live, id)
+					q.Update(t, w)
+					run[live] = t
+					live++
 				} else {
-					q.Remove(id)
+					q.Remove(t)
 				}
 			}
-			adjA[a] = live
+			end[a] = live
 		default:
 			// dis(a) > −0.5: a left group A; drop its edges (lines 15-17).
-			for _, id := range adjA[a] {
-				q.Remove(id)
+			for _, t := range run[start[a]:end[a]] {
+				q.Remove(t)
 			}
-			adjA[a] = nil
+			end[a] = start[a]
 		}
 	}
 	if qWeight != nil {
@@ -228,7 +247,7 @@ func (b BM2) Reduce(g *graph.Graph, p float64) (*Result, error) {
 		phase2.Counter("flatpq.removes").Add(q.Stats.Removes)
 	}
 	phase2.End()
-	res, err := newResultIDs(g, p, selected)
+	res, err := newResultIDs(g, p, bm.IDs)
 	if err == nil && sp.Enabled() {
 		// End-of-reduce quality record: kept counts, exact Δ, and Theorem 2
 		// bound headroom, the same derivation as cmd/shed's stats rows.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -95,7 +96,7 @@ func TestBM2Phase2Improves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	phase1, err := g.Subgraph(bm.Edges)
+	phase1, err := g.SubgraphByIDs(bm.IDs) // input order: ascending ids
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,5 +189,24 @@ func TestBM2BetterThanRandomOnHeavyTail(t *testing.T) {
 	}
 	if bm2Res.Delta() >= rndRes.Delta() {
 		t.Errorf("BM2 Δ = %v not better than Random Δ = %v", bm2Res.Delta(), rndRes.Delta())
+	}
+}
+
+// TestBM2AllocationBound holds BM2.Reduce to 48 heap bytes per input edge:
+// Algorithm 3 sizes its arrays to its queue and the result, not to |E|.
+func TestBM2AllocationBound(t *testing.T) {
+	g := gen.BarabasiAlbert(20000, 4, 1)
+	for _, p := range []float64{0.1, 0.3, 0.5} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		if _, err := (BM2{}).Reduce(g, p); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		perEdge := float64(after.TotalAlloc-before.TotalAlloc) / float64(g.NumEdges())
+		if perEdge > 48 {
+			t.Errorf("p=%v: allocated %.1f B per input edge, want at most 48", p, perEdge)
+		}
 	}
 }

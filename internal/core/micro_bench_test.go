@@ -23,8 +23,9 @@ func BenchmarkCRRReduce(b *testing.B) {
 
 func BenchmarkBM2Reduce(b *testing.B) {
 	g := gen.BarabasiAlbert(20000, 4, 1)
-	for _, p := range []float64{0.5, 0.1} {
+	for _, p := range []float64{0.5, 0.3, 0.1} {
 		b.Run(fmt.Sprintf("p=%.1f", p), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := (BM2{}).Reduce(g, p); err != nil {
 					b.Fatal(err)
@@ -63,7 +64,7 @@ func BenchmarkBM2ReduceMapIndexed(b *testing.B) {
 	g := gen.BarabasiAlbert(20000, 4, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := seedBM2Reduce(BM2{}, g, 0.5); err != nil {
+		if _, _, err := seedBM2Reduce(BM2{}, g, 0.5); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -38,11 +38,8 @@ func (o EdgeOrder) String() string {
 
 // BMatching is the result of a greedy maximal b-matching.
 type BMatching struct {
-	// Edges are the matched edges, in selection order.
-	Edges []graph.Edge
 	// IDs are the matched edges' canonical ids — positions in g.Edges() —
-	// aligned with Edges, so callers can mark membership in a []bool instead
-	// of hashing edges into a map.
+	// in selection order; callers read an edge as g.Edges()[id].
 	IDs []int32
 	// Degrees[u] is u's degree within the matching.
 	Degrees []int
@@ -57,29 +54,28 @@ func GreedyBMatching(g *graph.Graph, caps []int, order EdgeOrder) (*BMatching, e
 	if len(caps) != g.NumNodes() {
 		return nil, fmt.Errorf("matching: %d capacities for %d nodes", len(caps), g.NumNodes())
 	}
+	// Node u keeps at most min(caps[u], deg(u)) edges and every edge has two
+	// ends, so half the sum bounds the matching's size; it never exceeds |E|.
+	total := 0
 	for u, c := range caps {
 		if c < 0 {
 			return nil, fmt.Errorf("matching: negative capacity %d at node %d", c, u)
 		}
+		total += min(c, g.Degree(graph.NodeID(u)))
 	}
-	// Scan a permutation of edge ids rather than copied edges, so each kept
-	// edge's canonical id (its position in g.Edges()) rides along for free.
 	edges := g.Edges()
-	scan := make([]int32, len(edges))
-	for i := range scan {
-		scan[i] = int32(i)
-	}
+	m := &BMatching{IDs: make([]int32, 0, total/2), Degrees: make([]int, g.NumNodes())}
+	// scan is the permuted id sequence; nil scans ids in input order.
+	var scan []int32
 	if order != InputOrder {
 		// Precompute each edge's key once: the stable sort performs
 		// O(m log m) comparisons, and recomputing min(caps) per comparison
 		// doubles its memory traffic.
 		key := make([]int32, len(edges))
+		scan = make([]int32, len(edges))
 		for id, e := range edges {
-			cu, cv := caps[e.U], caps[e.V]
-			if cu > cv {
-				cu = cv
-			}
-			key[id] = int32(cu)
+			key[id] = int32(min(caps[e.U], caps[e.V]))
+			scan[id] = int32(id)
 		}
 		sort.SliceStable(scan, func(i, j int) bool {
 			if order == ScarceFirst {
@@ -88,11 +84,13 @@ func GreedyBMatching(g *graph.Graph, caps []int, order EdgeOrder) (*BMatching, e
 			return key[scan[i]] > key[scan[j]]
 		})
 	}
-	m := &BMatching{Degrees: make([]int, g.NumNodes())}
-	for _, id := range scan {
-		e := edges[id]
+	for i, e := range edges {
+		id := int32(i)
+		if scan != nil {
+			id = scan[i]
+			e = edges[id]
+		}
 		if m.Degrees[e.U] < caps[e.U] && m.Degrees[e.V] < caps[e.V] {
-			m.Edges = append(m.Edges, e)
 			m.IDs = append(m.IDs, id)
 			m.Degrees[e.U]++
 			m.Degrees[e.V]++
@@ -102,21 +100,19 @@ func GreedyBMatching(g *graph.Graph, caps []int, order EdgeOrder) (*BMatching, e
 }
 
 // VerifyMaximal reports whether m is a maximal b-matching of g under caps:
-// every matched edge exists in g and respects both capacities, and no
-// unmatched edge of g could be added without violating one. Membership is
-// tracked in a []bool over canonical edge ids (resolved through the CSR
-// view) instead of a map[Edge] set. It is O(|E| log deg) and intended for
-// tests.
+// every matched id names a distinct edge of g, both capacities hold, and no
+// unmatched edge of g could be added without violating one. It is O(|E|)
+// and intended for tests.
 func (m *BMatching) VerifyMaximal(g *graph.Graph, caps []int) error {
-	csr := g.CSR()
-	in := make([]bool, g.NumEdges())
+	edges := g.Edges()
+	in := make([]bool, len(edges))
 	deg := make([]int, g.NumNodes())
-	for _, e := range m.Edges {
-		id := csr.EdgeIDOf(e.U, e.V)
-		if id < 0 {
-			return fmt.Errorf("matching: matched edge %v not present in graph", e)
+	for _, id := range m.IDs {
+		if id < 0 || int(id) >= len(edges) || in[id] {
+			return fmt.Errorf("matching: matched id %d outside [0,%d) or repeated", id, len(edges))
 		}
 		in[id] = true
+		e := edges[id]
 		deg[e.U]++
 		deg[e.V]++
 	}
@@ -128,7 +124,7 @@ func (m *BMatching) VerifyMaximal(g *graph.Graph, caps []int) error {
 			return fmt.Errorf("matching: node %d degree %d exceeds capacity %d", u, deg[u], caps[u])
 		}
 	}
-	for i, e := range g.Edges() {
+	for i, e := range edges {
 		if in[i] {
 			continue
 		}
@@ -137,43 +133,4 @@ func (m *BMatching) VerifyMaximal(g *graph.Graph, caps []int) error {
 		}
 	}
 	return nil
-}
-
-// WeightedEdge is an edge with a weight, input to the bipartite matcher.
-type WeightedEdge struct {
-	E graph.Edge
-	W float64
-}
-
-// GreedyBipartite computes a greedy maximum-weight matching of a bipartite
-// edge set where every node may be matched at most once: edges are taken in
-// non-increasing weight order, skipping edges with an already-matched
-// endpoint. This is the classic 1/2-approximation; BM2's Algorithm 3 in
-// internal/core extends it with capacity re-weighting on the A side.
-func GreedyBipartite(edges []WeightedEdge) []WeightedEdge {
-	sorted := append([]WeightedEdge(nil), edges...)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].W > sorted[j].W })
-	// Matched flags live in a []bool over the dense node-id range instead of
-	// a map: ids are dense everywhere in this repository, so the flat array
-	// is both smaller and branch-predictable.
-	maxID := graph.NodeID(-1)
-	for _, we := range edges {
-		if we.E.U > maxID {
-			maxID = we.E.U
-		}
-		if we.E.V > maxID {
-			maxID = we.E.V
-		}
-	}
-	used := make([]bool, maxID+1)
-	var out []WeightedEdge
-	for _, we := range sorted {
-		if used[we.E.U] || used[we.E.V] {
-			continue
-		}
-		used[we.E.U] = true
-		used[we.E.V] = true
-		out = append(out, we)
-	}
-	return out
 }

@@ -1,6 +1,7 @@
 package matching
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -44,8 +45,8 @@ func TestGreedyBMatchingUnitIsMatching(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(m.Edges) != 3 {
-		t.Errorf("matching size on C6 = %d, want 3", len(m.Edges))
+	if len(m.IDs) != 3 {
+		t.Errorf("matching size on C6 = %d, want 3", len(m.IDs))
 	}
 	if err := m.VerifyMaximal(g, unitCaps(6, 1)); err != nil {
 		t.Errorf("VerifyMaximal: %v", err)
@@ -54,13 +55,16 @@ func TestGreedyBMatchingUnitIsMatching(t *testing.T) {
 
 func TestGreedyBMatchingFullCapacityKeepsAll(t *testing.T) {
 	g := gen.BarabasiAlbert(100, 3, 4)
-	caps := g.Degrees()
-	m, err := GreedyBMatching(g, caps, InputOrder)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Edges) != g.NumEdges() {
-		t.Errorf("full capacities kept %d of %d edges", len(m.Edges), g.NumEdges())
+	// Capacities at the degrees, and capacities so large that their sum
+	// overflows an int: both keep every edge.
+	for _, caps := range [][]int{g.Degrees(), unitCaps(g.NumNodes(), math.MaxInt)} {
+		m, err := GreedyBMatching(g, caps, InputOrder)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(m.IDs) != g.NumEdges() {
+			t.Errorf("full capacities kept %d of %d edges", len(m.IDs), g.NumEdges())
+		}
 	}
 }
 
@@ -129,8 +133,8 @@ func TestGreedyBMatchingHalfApprox(t *testing.T) {
 			t.Fatal(err)
 		}
 		opt := bruteMaxMatching(g)
-		if 2*len(m.Edges) < opt {
-			t.Errorf("seed %d: greedy %d < half of optimum %d", seed, len(m.Edges), opt)
+		if 2*len(m.IDs) < opt {
+			t.Errorf("seed %d: greedy %d < half of optimum %d", seed, len(m.IDs), opt)
 		}
 	}
 }
@@ -183,89 +187,46 @@ func TestGreedyBMatchingHalfApproxGeneralCaps(t *testing.T) {
 			t.Fatal(err)
 		}
 		opt := bruteMaxBMatching(g, caps)
-		if 2*len(m.Edges) < opt {
-			t.Errorf("seed %d: greedy %d < half of optimum %d (caps %v)", seed, len(m.Edges), opt, caps)
+		if 2*len(m.IDs) < opt {
+			t.Errorf("seed %d: greedy %d < half of optimum %d (caps %v)", seed, len(m.IDs), opt, caps)
 		}
 	}
 }
 
-func TestGreedyBipartite(t *testing.T) {
-	// A-side {0,1}, B-side {10,11}: weights force specific picks.
-	edges := []WeightedEdge{
-		{E: graph.Edge{U: 0, V: 10}, W: 5},
-		{E: graph.Edge{U: 0, V: 11}, W: 4},
-		{E: graph.Edge{U: 1, V: 10}, W: 3},
-		{E: graph.Edge{U: 1, V: 11}, W: 1},
-	}
-	got := GreedyBipartite(edges)
-	if len(got) != 2 {
-		t.Fatalf("matched %d edges, want 2", len(got))
-	}
-	if got[0].W != 5 {
-		t.Errorf("first pick weight = %v, want 5", got[0].W)
-	}
-	// 0 and 10 are used, so second pick must be (1, 11).
-	if got[1].E != (graph.Edge{U: 1, V: 11}) {
-		t.Errorf("second pick = %v, want (1,11)", got[1].E)
-	}
-}
-
-func TestGreedyBipartiteNodeExclusive(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		var edges []WeightedEdge
-		for i := 0; i < 40; i++ {
-			edges = append(edges, WeightedEdge{
-				E: graph.Edge{U: graph.NodeID(rng.Intn(10)), V: graph.NodeID(10 + rng.Intn(10))},
-				W: rng.Float64(),
-			})
-		}
-		out := GreedyBipartite(edges)
-		seen := make(map[graph.NodeID]bool)
-		for _, we := range out {
-			if seen[we.E.U] || seen[we.E.V] {
-				return false
-			}
-			seen[we.E.U], seen[we.E.V] = true, true
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestGreedyBipartiteEmptyInput(t *testing.T) {
-	if got := GreedyBipartite(nil); len(got) != 0 {
-		t.Errorf("GreedyBipartite(nil) = %v", got)
-	}
-}
-
-// TestGreedyBMatchingIDsAligned pins the Edges/IDs contract across every
-// scan order: IDs[i] is the position of Edges[i] in g.Edges(), so callers may
-// mark matched edges in a []bool indexed by canonical edge id.
+// TestGreedyBMatchingIDsAligned pins the IDs contract across every scan
+// order: IDs are distinct canonical edge ids, so callers may mark matched
+// edges in a []bool, and they come in scan order — by the order's key (the
+// smaller endpoint capacity), ties in ascending id.
 func TestGreedyBMatchingIDsAligned(t *testing.T) {
 	g := gen.BarabasiAlbert(120, 3, 5)
 	all := g.Edges()
+	rng := rand.New(rand.NewSource(5))
+	caps := make([]int, g.NumNodes())
+	for u := range caps {
+		caps[u] = 1 + rng.Intn(3)
+	}
+	key := func(order EdgeOrder, id int32) int {
+		e := all[id]
+		switch order {
+		case ScarceFirst:
+			return min(caps[e.U], caps[e.V])
+		case DenseFirst:
+			return -min(caps[e.U], caps[e.V])
+		}
+		return 0
+	}
 	for _, order := range []EdgeOrder{InputOrder, ScarceFirst, DenseFirst} {
-		m, err := GreedyBMatching(g, unitCaps(g.NumNodes(), 2), order)
+		m, err := GreedyBMatching(g, caps, order)
 		if err != nil {
 			t.Fatalf("%v: %v", order, err)
 		}
-		if len(m.IDs) != len(m.Edges) {
-			t.Fatalf("%v: %d ids for %d edges", order, len(m.IDs), len(m.Edges))
+		if err := m.VerifyMaximal(g, caps); err != nil {
+			t.Fatalf("%v: %v", order, err)
 		}
-		seen := make(map[int32]bool, len(m.IDs))
-		for i, id := range m.IDs {
-			if id < 0 || int(id) >= len(all) {
-				t.Fatalf("%v: id %d outside [0,%d)", order, id, len(all))
-			}
-			if seen[id] {
-				t.Fatalf("%v: duplicate edge id %d", order, id)
-			}
-			seen[id] = true
-			if all[id] != m.Edges[i] {
-				t.Fatalf("%v: IDs[%d]=%d names %v, Edges[%d]=%v", order, i, id, all[id], i, m.Edges[i])
+		for i := 1; i < len(m.IDs); i++ {
+			prev, id := m.IDs[i-1], m.IDs[i]
+			if kp, k := key(order, prev), key(order, id); kp > k || (kp == k && prev >= id) {
+				t.Fatalf("%v: IDs[%d]=%d (key %d) follows IDs[%d]=%d (key %d) out of scan order", order, i, id, k, i-1, prev, kp)
 			}
 		}
 	}

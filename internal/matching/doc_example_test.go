@@ -3,7 +3,6 @@ package matching_test
 import (
 	"fmt"
 
-	"edgeshed/internal/graph"
 	"edgeshed/internal/graph/gen"
 	"edgeshed/internal/matching"
 )
@@ -17,7 +16,7 @@ func ExampleGreedyBMatching() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println("matched edges:", len(m.Edges))
+	fmt.Println("matched edges:", len(m.IDs))
 	fmt.Println("hub degree:", m.Degrees[0])
 	// Output:
 	// matched edges: 2
@@ -43,18 +42,4 @@ func ExamplePQ() {
 	// mid
 	// high
 	// low
-}
-
-// ExampleGreedyBipartite matches weighted bipartite edges greedily.
-func ExampleGreedyBipartite() {
-	edges := []matching.WeightedEdge{
-		{E: graph.Edge{U: 0, V: 10}, W: 3},
-		{E: graph.Edge{U: 0, V: 11}, W: 2},
-		{E: graph.Edge{U: 1, V: 10}, W: 1},
-	}
-	for _, we := range matching.GreedyBipartite(edges) {
-		fmt.Println(we.E, we.W)
-	}
-	// Output:
-	// (0,10) 3
 }

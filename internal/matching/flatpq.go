@@ -1,10 +1,10 @@
 package matching
 
 // FlatPQ is the flat, index-addressed counterpart of PQ: items are dense
-// int32 ids (canonical edge ids in practice), priorities and heap positions
-// live in plain slices, and no per-item Handle is allocated. It exists for
-// the shedding core's hot paths — BM2's Algorithm 3 above all — where the
-// pointer-handle PQ pays an allocation per push and a cache miss per sift.
+// int32 ids, priorities and heap positions live in plain slices, and no
+// per-item Handle is allocated. It exists for the shedding core's hot paths
+// — BM2's Algorithm 3 above all — where the pointer-handle PQ pays an
+// allocation per push and a cache miss per sift.
 //
 // FlatPQ deliberately replicates PQ's heap dynamics instruction for
 // instruction (binary sift with the same comparison directions, detach by
@@ -17,8 +17,10 @@ package matching
 // scanned in ascending canonical id), not from an id tie-break inside the
 // heap.
 //
-// The zero value is an empty queue. Ids may be sparse; internal arrays grow
-// to the largest id ever pushed.
+// The zero value is an empty queue. Ids should be dense, 0..k−1 for k
+// pushed items: the id-indexed arrays grow to the largest id ever pushed,
+// so a sparse id costs memory for every smaller one. Renaming ids densely
+// changes no pop order, since the heap compares priorities only.
 type FlatPQ struct {
 	heap []int32   // item ids in heap order
 	pos  []int32   // id -> heap position, -1 once detached
@@ -56,11 +58,16 @@ func (q *FlatPQ) Contains(id int32) bool {
 // have been pushed.
 func (q *FlatPQ) Priority(id int32) float64 { return q.pri[id] }
 
-// grow extends the id-indexed arrays to cover id.
+// grow extends the id-indexed arrays to cover id, in one step.
 func (q *FlatPQ) grow(id int32) {
-	for int(id) >= len(q.pos) {
-		q.pos = append(q.pos, -1)
-		q.pri = append(q.pri, 0)
+	from := len(q.pos)
+	if int(id) < from {
+		return
+	}
+	q.pos = append(q.pos, make([]int32, int(id)+1-from)...)
+	q.pri = append(q.pri, make([]float64, int(id)+1-from)...)
+	for i := from; i < len(q.pos); i++ {
+		q.pos[i] = -1
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package matching implements degree-constrained subgraph primitives: the
 // linear-time greedy maximal b-matching of Hougardy (paper reference [25])
-// used by BM2 Phase 1, a greedy maximum-weight bipartite matching, and the
-// updatable max-priority queue that drives the paper's Algorithm 3.
+// used by BM2 Phase 1, and the updatable max-priority queues that drive the
+// paper's Algorithm 3, the bipartite matcher in internal/core.
 package matching
 
 // PQ is a max-priority queue with handle-based updates and removals, the
