@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench obsreport experiments claims profile fmt vet clean
+.PHONY: all build test race bench obsreport experiments claims profile fmt vet loc clean
 
 all: build test
 
@@ -57,6 +57,12 @@ profile:
 
 fmt:
 	gofmt -w .
+
+# Count the Go lines of tracked files outside bench/ (its own module):
+# non-test, then test. These are the figures a change's line count reports.
+loc:
+	@printf 'non-test Go lines: '; git ls-files -- '*.go' ':!bench/' | grep -v '_test\.go$$' | xargs cat | wc -l
+	@printf 'test Go lines:     '; git ls-files -- '*.go' ':!bench/' | grep '_test\.go$$' | xargs cat | wc -l
 
 vet:
 	$(GO) vet ./...

@@ -352,50 +352,6 @@ func BenchmarkAblationSampledBetweenness(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationBM2Rounding compares BM2's rounding rules (DESIGN.md
-// §5.3).
-func BenchmarkAblationBM2Rounding(b *testing.B) {
-	g := benchGraph(b, "ca-GrQc")
-	for _, v := range []struct {
-		name string
-		r    core.Rounding
-	}{{"half-up", core.RoundHalfUp}, {"half-even", core.RoundHalfEven}} {
-		b.Run(v.name, func(b *testing.B) {
-			var delta float64
-			for i := 0; i < b.N; i++ {
-				res, err := (core.BM2{Rounding: v.r}).Reduce(g, 0.5)
-				if err != nil {
-					b.Fatal(err)
-				}
-				delta = res.Delta()
-			}
-			b.ReportMetric(delta, "delta")
-		})
-	}
-}
-
-// BenchmarkAblationZeroGain compares keeping vs dropping zero-gain bipartite
-// edges in BM2 (DESIGN.md §5.4).
-func BenchmarkAblationZeroGain(b *testing.B) {
-	g := benchGraph(b, "ca-GrQc")
-	for _, v := range []struct {
-		name string
-		drop bool
-	}{{"keep", false}, {"drop", true}} {
-		b.Run(v.name, func(b *testing.B) {
-			var delta float64
-			for i := 0; i < b.N; i++ {
-				res, err := (core.BM2{DropZeroGain: v.drop}).Reduce(g, 0.5)
-				if err != nil {
-					b.Fatal(err)
-				}
-				delta = res.Delta()
-			}
-			b.ReportMetric(delta, "delta")
-		})
-	}
-}
-
 // BenchmarkAblationBMatchOrder compares BM2 Phase-1 edge scan orders
 // (DESIGN.md §5.5).
 func BenchmarkAblationBMatchOrder(b *testing.B) {

@@ -27,7 +27,7 @@ import (
 
 func main() {
 	var (
-		runID   = flag.String("run", "", "experiment id (fig4..fig10, t3..t10, ab1..ab5) or 'all'")
+		runID   = flag.String("run", "", "experiment id (see -list) or 'all'")
 		list    = flag.Bool("list", false, "list available experiments")
 		scale   = flag.Int("scale", 16, "dataset scale divisor (1 = paper sizes; larger = smaller graphs)")
 		seed    = flag.Int64("seed", 0, "seed offset for replication")

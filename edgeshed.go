@@ -59,9 +59,6 @@ type CRR = core.CRR
 // BM2 is the paper's B-Matching with Bipartite Matching (Algorithms 2-3).
 type BM2 = core.BM2
 
-// TargetedCRR is the deterministic-repair extension of CRR.
-type TargetedCRR = core.TargetedCRR
-
 // Random sheds edges by uniform sampling.
 type Random = core.Random
 

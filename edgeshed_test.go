@@ -16,7 +16,6 @@ func TestFacadeReduceRoundTrip(t *testing.T) {
 	for _, r := range []edgeshed.Reducer{
 		edgeshed.CRR{Seed: 1},
 		edgeshed.BM2{},
-		edgeshed.TargetedCRR{Seed: 1},
 		edgeshed.Random{Seed: 2},
 		edgeshed.ForestFire{Seed: 3},
 		edgeshed.SpanningForest{Seed: 4},

@@ -17,8 +17,6 @@
 package centrality
 
 import (
-	"fmt"
-
 	"edgeshed/internal/graph"
 	"edgeshed/internal/obs"
 )
@@ -82,35 +80,6 @@ func (o Options) sources(n int) ([]graph.NodeID, float64) {
 	return graph.SampleNodeIDs(n, s, o.Seed), float64(n) / float64(s)
 }
 
-// EdgeScores holds per-edge betweenness aligned with g.Edges().
-//
-// Scores is the primary representation: Scores[i] belongs to g.Edges()[i],
-// and every consumer in this repository indexes it directly. Of resolves an
-// edge through the CSR's binary-search EdgeIDOf — O(log deg) on flat
-// arrays, no lazily built map, no allocation.
-type EdgeScores struct {
-	g      *graph.Graph
-	Scores []float64 // Scores[i] is the betweenness of g.Edges()[i]
-}
-
-// Of returns the score of edge e (any orientation). It panics if e is not
-// an edge of the underlying graph. Each call is one O(log deg)
-// binary search over the CSR's slot arrays; prefer indexing Scores
-// directly when the edge id is known.
-func (s *EdgeScores) Of(e graph.Edge) float64 {
-	i := s.g.CSR().EdgeIDOf(e.U, e.V)
-	if i < 0 {
-		panic(fmt.Sprintf("centrality: edge %v not in graph", e))
-	}
-	return s.Scores[i]
-}
-
-// Edge returns the i-th edge, aligned with Scores[i].
-func (s *EdgeScores) Edge(i int) graph.Edge { return s.g.Edges()[i] }
-
-// Len returns the number of scored edges.
-func (s *EdgeScores) Len() int { return len(s.Scores) }
-
 // NodeBetweenness returns per-node betweenness centrality (unnormalized,
 // with each unordered pair contributing once, as is conventional for
 // undirected graphs). It runs on the bit-parallel MS-BFS engine — up to 64
@@ -128,21 +97,14 @@ func NodeBetweenness(g *graph.Graph, opt Options) []float64 {
 
 // EdgeBetweennessScores returns per-edge betweenness centrality as a flat
 // slice aligned with g.Edges(): the score of g.Edges()[i] is element i.
-// This is the cheapest edge-betweenness entry point — no wrapper, no
-// edge-keyed map — and the scorer behind CRR Phase 1. Like
+// It is the scorer behind CRR Phase 1; a caller holding an endpoint pair
+// finds its element with g.CSR().EdgeIDOf(u, v). Like
 // NodeBetweenness it runs on the batched MS-BFS engine: scores are
 // bit-identical at any Workers × Batch combination, pinned by the
 // canonical serial edge oracle in msbfs_oracle_test.go.
 func EdgeBetweennessScores(g *graph.Graph, opt Options) []float64 {
 	_, edges := msbfsBetweenness(g, opt, false, true)
 	return edges
-}
-
-// EdgeBetweenness returns per-edge betweenness centrality wrapped in an
-// EdgeScores whose Of answers lookups via the CSR's binary search. Callers
-// that work with edge ids should prefer EdgeBetweennessScores.
-func EdgeBetweenness(g *graph.Graph, opt Options) *EdgeScores {
-	return &EdgeScores{g: g, Scores: EdgeBetweennessScores(g, opt)}
 }
 
 // Betweenness computes node and edge betweenness in a single pass over

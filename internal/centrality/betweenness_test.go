@@ -26,12 +26,12 @@ func TestNodeBetweennessPath(t *testing.T) {
 
 func TestEdgeBetweennessPath(t *testing.T) {
 	g := gen.Path(5)
-	es := EdgeBetweenness(g, Options{})
+	scores := EdgeBetweennessScores(g, Options{})
 	want := map[graph.Edge]float64{
-		{U: 0, V: 1}: 4, {U: 1, V: 2}: 6, {U: 2, V: 3}: 6, {U: 3, V: 4}: 4,
+		{U: 0, V: 1}: 4, {U: 2, V: 1}: 6, {U: 2, V: 3}: 6, {U: 4, V: 3}: 4,
 	}
 	for e, w := range want {
-		if got := es.Of(e); !approx(got, w) {
+		if got := scores[g.CSR().EdgeIDOf(e.U, e.V)]; !approx(got, w) {
 			t.Errorf("edge %v: got %v, want %v", e, got, w)
 		}
 	}
@@ -131,7 +131,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 
 func TestSampledApproximatesExact(t *testing.T) {
 	g := gen.BarabasiAlbert(400, 3, 23)
-	exact := EdgeBetweenness(g, Options{})
+	exact := EdgeBetweennessScores(g, Options{})
 	// The sampled estimator should identify most of the exact top decile.
 	// A single draw hovers around the threshold (any one seed can be
 	// unlucky), so average the overlap across several sampling seeds.
@@ -148,12 +148,11 @@ func TestSampledApproximatesExact(t *testing.T) {
 		}
 		return set
 	}
-	te := top(exact.Scores)
+	te := top(exact)
 	var fracSum float64
 	const draws = 5
 	for seed := int64(1); seed <= draws; seed++ {
-		sampled := EdgeBetweenness(g, Options{Samples: 150, Seed: seed})
-		ts := top(sampled.Scores)
+		ts := top(EdgeBetweennessScores(g, Options{Samples: 150, Seed: seed}))
 		inter := 0
 		for i := range te {
 			if _, ok := ts[i]; ok {
@@ -175,50 +174,6 @@ func TestSamplesGEnIsExact(t *testing.T) {
 		if !approx(exact[u], overSampled[u]) {
 			t.Errorf("node %d: exact %v != oversampled %v", u, exact[u], overSampled[u])
 		}
-	}
-}
-
-func TestEdgeScoresOfPanicsOnForeignEdge(t *testing.T) {
-	g := gen.Path(3)
-	es := EdgeBetweenness(g, Options{})
-	if got := es.Of(graph.Edge{U: 1, V: 0}); !approx(got, 2) {
-		t.Errorf("Of reversed edge = %v, want 2", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Of(foreign edge) did not panic")
-		}
-	}()
-	es.Of(graph.Edge{U: 0, V: 2})
-}
-
-// TestEdgeScoresOfMatchesMapIndex pins the CSR binary-search Of against the
-// seed edge-keyed map it replaced: for every edge in both orientations, the
-// looked-up score must be the exact Scores element the map would have
-// returned — and out-of-range endpoints must panic rather than misindex.
-func TestEdgeScoresOfMatchesMapIndex(t *testing.T) {
-	g := gen.BarabasiAlbert(150, 3, 23)
-	es := EdgeBetweenness(g, Options{Workers: 1})
-	idx := edgeIndex(g)
-	for _, e := range g.Edges() {
-		want := es.Scores[idx[e]]
-		if got := es.Of(e); got != want {
-			t.Fatalf("Of(%v) = %v, want %v", e, got, want)
-		}
-		rev := graph.Edge{U: e.V, V: e.U}
-		if got := es.Of(rev); got != want {
-			t.Fatalf("Of(%v) (reversed) = %v, want %v", rev, got, want)
-		}
-	}
-	for _, bad := range []graph.Edge{{U: -1, V: 0}, {U: 0, V: 150}, {U: 3, V: 3}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Of(%v) did not panic", bad)
-				}
-			}()
-			es.Of(bad)
-		}()
 	}
 }
 

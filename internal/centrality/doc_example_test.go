@@ -8,9 +8,9 @@ import (
 	"edgeshed/internal/graph/gen"
 )
 
-// ExampleEdgeBetweenness finds the bridge between two cliques — the edge
-// CRR's Phase 1 protects.
-func ExampleEdgeBetweenness() {
+// ExampleEdgeBetweennessScores finds the bridge between two cliques — the
+// edge CRR's Phase 1 protects — and looks its score up by endpoints.
+func ExampleEdgeBetweennessScores() {
 	b := graph.NewBuilder(8)
 	for u := 0; u < 4; u++ {
 		for v := u + 1; v < 4; v++ {
@@ -20,16 +20,18 @@ func ExampleEdgeBetweenness() {
 	}
 	b.TryAddEdge(0, 4) // the bridge
 	g := b.Graph()
-	scores := centrality.EdgeBetweenness(g, centrality.Options{})
+	scores := centrality.EdgeBetweennessScores(g, centrality.Options{})
 	best, bestScore := graph.Edge{}, -1.0
-	for i := 0; i < scores.Len(); i++ {
-		if scores.Scores[i] > bestScore {
-			best, bestScore = scores.Edge(i), scores.Scores[i]
+	for i, s := range scores {
+		if s > bestScore {
+			best, bestScore = g.Edges()[i], s
 		}
 	}
 	fmt.Println("highest-betweenness edge:", best)
+	fmt.Println("score of (4,0):", scores[g.CSR().EdgeIDOf(4, 0)])
 	// Output:
 	// highest-betweenness edge: (0,4)
+	// score of (4,0): 16
 }
 
 // ExampleNodeBetweenness scores the middle of a path highest.

@@ -19,7 +19,7 @@ func BenchmarkEdgeBetweennessExact(b *testing.B) {
 	g := gen.BarabasiAlbert(1000, 3, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		EdgeBetweenness(g, Options{})
+		EdgeBetweennessScores(g, Options{})
 	}
 }
 
@@ -27,7 +27,7 @@ func BenchmarkEdgeBetweennessSampled(b *testing.B) {
 	g := gen.BarabasiAlbert(5000, 3, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		EdgeBetweenness(g, Options{Samples: 128, Seed: 2})
+		EdgeBetweennessScores(g, Options{Samples: 128, Seed: 2})
 	}
 }
 

@@ -2,7 +2,7 @@ package centrality
 
 // Oracles and property tests for the MS-BFS kernels (Closeness,
 // NodeBetweenness and the edge-dependency path behind
-// EdgeBetweenness/Betweenness):
+// EdgeBetweennessScores/Betweenness):
 //
 //   - closenessPerSource preserves the replaced one-BFS-per-node closeness
 //     loop; the MS-BFS pivot accumulation reproduces it bit for bit in

@@ -19,7 +19,7 @@ import (
 
 // edgeIndex builds the canonical-edge -> edge-list-position map the seed
 // oracle accumulates through. Production code no longer builds this map —
-// EdgeScores.Of binary-searches the CSR instead — so it lives with the
+// CSR.EdgeIDOf binary-searches the CSR instead — so it lives with the
 // oracle that still needs it.
 func edgeIndex(g *graph.Graph) map[graph.Edge]int32 {
 	idx := make(map[graph.Edge]int32, g.NumEdges())

@@ -8,37 +8,16 @@ import (
 	"edgeshed/internal/obs"
 )
 
-// Rounding selects how BM2 turns fractional expected degrees into integer
-// b-matching capacities (Algorithm 2 line 3). The paper rounds to the
-// nearest integer; the half-to-even variant exists for the ablation study.
-type Rounding int
-
-const (
-	// RoundHalfUp rounds .5 away from zero (math.Round), the paper's rule:
-	// an expected degree of 0.6 becomes capacity 1.
-	RoundHalfUp Rounding = iota
-	// RoundHalfEven rounds .5 to the nearest even integer, removing the
-	// systematic upward bias of half-up on .5-heavy degree sequences.
-	RoundHalfEven
-)
-
-// apply rounds x under the selected rule.
-func (r Rounding) apply(x float64) int {
-	if r == RoundHalfEven {
-		return int(math.RoundToEven(x))
-	}
-	return int(math.Round(x))
-}
-
 // BM2 is B-Matching with Bipartite Matching (Algorithms 2 and 3).
 //
-// Phase 1 rounds each node's expected degree p·deg_G(u) to an integer
-// capacity and greedily computes a maximal b-matching under those
-// capacities. Phase 2 classifies nodes by their degree discrepancy into
-// groups A (dis ≤ −0.5), B (−0.5 < dis < 0) and C (dis ≥ 0), builds a
-// bipartite graph of still-shed A–B edges weighted by the Δ-gain of adding
-// them (Lemma 1), and greedily matches it with dynamic re-weighting
-// (Algorithm 3).
+// Phase 1 rounds each node's expected degree p·deg_G(u) to the nearest
+// integer, halves up (an expected 0.5 becomes capacity 1), and greedily
+// computes a maximal b-matching under those capacities. Phase 2 classifies
+// nodes by their degree discrepancy into groups A (dis ≤ −0.5), B
+// (−0.5 < dis < 0) and C (dis ≥ 0), builds a bipartite graph of still-shed
+// A–B edges weighted by the Δ-gain of adding them (Lemma 1), keeping the
+// gain = 0 edges as Algorithm 2 line 20 does (gain ≥ 0), and greedily
+// matches it with dynamic re-weighting (Algorithm 3).
 //
 // The Algorithm 3 loop allocates in proportion to its queue, not to |E|: the
 // k queued edges are numbered 0..k−1 in push order, and that dense slot keys
@@ -49,14 +28,6 @@ func (r Rounding) apply(x float64) int {
 // set — is bit-identical to the map-based implementation this replaced
 // (pinned by TestBM2MatchesSeedImplementation).
 type BM2 struct {
-	// Rounding is the capacity rounding rule; the zero value is the paper's
-	// round-half-up.
-	Rounding Rounding
-	// DropZeroGain discards gain = 0 edges from the bipartite graph instead
-	// of keeping them ("it can be selected or discarded according to user's
-	// preference", Example 2). The default keeps them, matching Algorithm 2
-	// line 20 (gain >= 0).
-	DropZeroGain bool
 	// Order is the edge scan order for Phase 1's greedy b-matching; the zero
 	// value is the paper's input-order scan.
 	Order matching.EdgeOrder
@@ -85,7 +56,7 @@ func (b BM2) Reduce(g *graph.Graph, p float64) (*Result, error) {
 	phase1 := sp.Start("bm2.bmatching")
 	caps := make([]int, n)
 	for u := 0; u < n; u++ {
-		caps[u] = b.Rounding.apply(p * float64(g.Degree(graph.NodeID(u))))
+		caps[u] = int(math.Round(p * float64(g.Degree(graph.NodeID(u)))))
 	}
 	bm, err := matching.GreedyBMatching(g, caps, b.Order)
 	phase1.End()
@@ -141,7 +112,7 @@ func (b BM2) Reduce(g *graph.Graph, p float64) (*Result, error) {
 			continue
 		}
 		w := gain(a, bb)
-		if w < 0 || (w == 0 && b.DropZeroGain) {
+		if w < 0 {
 			continue
 		}
 		q.Push(int32(len(bp)), w)

@@ -139,10 +139,8 @@ func TestBM2Variants(t *testing.T) {
 	g := gen.BarabasiAlbert(150, 3, 19)
 	for _, b := range []BM2{
 		{},
-		{Rounding: RoundHalfEven},
-		{DropZeroGain: true},
 		{Order: matching.ScarceFirst},
-		{Order: matching.DenseFirst, Rounding: RoundHalfEven, DropZeroGain: true},
+		{Order: matching.DenseFirst},
 	} {
 		res, err := b.Reduce(g, 0.5)
 		if err != nil {

@@ -191,12 +191,3 @@ func TestDeltaChangeMatchesBruteForce(t *testing.T) {
 		}
 	}
 }
-
-func TestRoundingModes(t *testing.T) {
-	if RoundHalfUp.apply(0.5) != 1 || RoundHalfUp.apply(1.5) != 2 || RoundHalfUp.apply(0.4) != 0 {
-		t.Error("RoundHalfUp wrong")
-	}
-	if RoundHalfEven.apply(0.5) != 0 || RoundHalfEven.apply(1.5) != 2 || RoundHalfEven.apply(2.5) != 2 {
-		t.Error("RoundHalfEven wrong")
-	}
-}

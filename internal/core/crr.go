@@ -72,11 +72,6 @@ type CRR struct {
 	// Seed drives tie-breaking of equal-importance edges ("edges of the
 	// same importance are selected randomly") and the Phase 2 edge picks.
 	Seed int64
-	// AdaptiveStop, when positive, ends Phase 2 early once the acceptance
-	// rate over the trailing adaptiveWindow attempts falls below this
-	// fraction — rewiring budget goes where it still helps. 0 keeps the
-	// paper's fixed step count.
-	AdaptiveStop float64
 	// Workers bounds the goroutines Sweep uses to run its per-ratio
 	// reductions concurrently. <= 0 selects GOMAXPROCS. Sweep's output is
 	// bit-identical at any worker count: each ratio's rng stream is derived
@@ -91,9 +86,6 @@ type CRR struct {
 	// with Obs on or off, at any worker count.
 	Obs *obs.Span
 }
-
-// adaptiveWindow is the trailing-attempt window for AdaptiveStop.
-const adaptiveWindow = 256
 
 // rewireFlush is how many Phase 2 attempts pass between live flushes of
 // the rewire counters and span progress. Large enough that the flush is
@@ -308,8 +300,7 @@ func (a *rewireAhead) loadExp(nodes []nodeRec) {
 // the loads ahead, and reloads them only when a swap has moved another id
 // into one of its slots. Taking them from the loads ahead is what keeps
 // those loads: Go has no prefetch and drops a load whose value is unused.
-// Counter flushes, the Δ histogram and AdaptiveStop stay per attempt; the
-// draws of a group cut short by AdaptiveStop are dropped with the rng.
+// Counter flushes and the Δ histogram stay per attempt.
 func (c CRR) rewire(edges []graph.Edge, kept []int32, tgt int, nodes []nodeRec, p float64, seed int64, rw *obs.Span, slot int) {
 	m := len(kept)
 	dis := func(u graph.NodeID) float64 {
@@ -321,9 +312,8 @@ func (c CRR) rewire(edges []graph.Edge, kept []int32, tgt int, nodes []nodeRec, 
 	// Live counters flush every rewireFlush attempts so a /metrics or
 	// /progress scrape mid-run sees Phase 2 advancing; the loop itself only
 	// pays a nil check per step when observability is off. The tallies stay
-	// plain locals (accepted resets per AdaptiveStop window, so it cannot
-	// serve as the run total) and the remainder folds in after the loop,
-	// making the final counter values independent of scrape timing.
+	// plain locals and the remainder folds in after the loop, making the
+	// final counter values independent of scrape timing.
 	var attCtr, accCtr *obs.Counter
 	var deltaHist *obs.Histogram
 	var flushMk *obs.Marker
@@ -345,11 +335,9 @@ func (c CRR) rewire(edges []graph.Edge, kept []int32, tgt int, nodes []nodeRec, 
 			curDelta += math.Abs(dis(graph.NodeID(u)))
 		}
 	}
-	accepted, window := 0, 0
-	attempts, acceptedTotal := 0, 0
+	attempts, accepted := 0, 0
 	flushedAtt, flushedAcc := 0, 0
 	var ahead [rewireGroup]rewireAhead
-run:
 	for attempts < steps {
 		grp := ahead[:min(rewireGroup, steps-attempts)]
 		for i := range grp {
@@ -370,12 +358,12 @@ run:
 			attempts++
 			if attCtr != nil && attempts%rewireFlush == 0 {
 				attCtr.AddAt(slot, int64(attempts-flushedAtt))
-				accCtr.AddAt(slot, int64(acceptedTotal-flushedAcc))
+				accCtr.AddAt(slot, int64(accepted-flushedAcc))
 				rw.Done(int64(attempts - flushedAtt))
 				qDelta.RecordAt(slot, p, curDelta)
-				qRate.RecordAt(slot, p, float64(acceptedTotal-flushedAcc)/float64(attempts-flushedAtt))
+				qRate.RecordAt(slot, p, float64(accepted-flushedAcc)/float64(attempts-flushedAtt))
 				qLinf.RecordAt(slot, p, maxAbsDis(nodes))
-				flushedAtt, flushedAcc = attempts, acceptedTotal
+				flushedAtt, flushedAcc = attempts, accepted
 				flushMk.Emit(slot, int64(attempts))
 			}
 			if id1, id2 := kept[a.ki], kept[a.si]; id1 != a.id1 || id2 != a.id2 {
@@ -414,28 +402,18 @@ run:
 				nodes[u2].kept++
 				nodes[v2].kept++
 				accepted++
-				acceptedTotal++
 				if qDelta != nil {
 					curDelta += d
-				}
-			}
-			if c.AdaptiveStop > 0 {
-				window++
-				if window == adaptiveWindow {
-					if float64(accepted)/float64(window) < c.AdaptiveStop {
-						break run
-					}
-					accepted, window = 0, 0
 				}
 			}
 		}
 	}
 	if rw.Enabled() {
 		attCtr.AddAt(slot, int64(attempts-flushedAtt))
-		accCtr.AddAt(slot, int64(acceptedTotal-flushedAcc))
+		accCtr.AddAt(slot, int64(accepted-flushedAcc))
 		rw.Done(int64(attempts - flushedAtt))
 		if attempts > flushedAtt {
-			qRate.RecordAt(slot, p, float64(acceptedTotal-flushedAcc)/float64(attempts-flushedAtt))
+			qRate.RecordAt(slot, p, float64(accepted-flushedAcc)/float64(attempts-flushedAtt))
 		}
 		qDelta.RecordAt(slot, p, curDelta)
 		qLinf.RecordAt(slot, p, maxAbsDis(nodes))

@@ -267,34 +267,6 @@ func TestCRRSweepRejectsBadP(t *testing.T) {
 	}
 }
 
-func TestCRRAdaptiveStop(t *testing.T) {
-	g := gen.BarabasiAlbert(400, 4, 35)
-	fixed, err := (CRR{Seed: 3}).Reduce(g, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	adaptive, err := (CRR{Seed: 3, AdaptiveStop: 0.02}).Reduce(g, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Early stopping may leave a little quality on the table but must stay
-	// in the same ballpark (and far below Phase-1-only quality).
-	phase1, err := (CRR{Seed: 3, Steps: -1}).Reduce(g, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if adaptive.Delta() > fixed.Delta()*1.5 {
-		t.Errorf("adaptive Δ=%v much worse than fixed Δ=%v", adaptive.Delta(), fixed.Delta())
-	}
-	if adaptive.Delta() >= phase1.Delta() {
-		t.Errorf("adaptive Δ=%v no better than Phase-1-only Δ=%v", adaptive.Delta(), phase1.Delta())
-	}
-	// |E'| guarantee unaffected.
-	if adaptive.Reduced.NumEdges() != fixed.Reduced.NumEdges() {
-		t.Errorf("adaptive |E'|=%d != fixed |E'|=%d", adaptive.Reduced.NumEdges(), fixed.Reduced.NumEdges())
-	}
-}
-
 func TestCRRImportanceVariants(t *testing.T) {
 	g := gen.BarabasiAlbert(150, 3, 33)
 	for _, im := range []Importance{ImportanceBetweenness, ImportanceDegreeProduct, ImportanceRandom} {

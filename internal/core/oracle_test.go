@@ -33,7 +33,7 @@ import (
 // the shared rankEdges order, so the comparison isolates the
 // representation change. It also returns Phase 2's attempt and accept
 // counts.
-func seedCRRPhase2(c CRR, g *graph.Graph, p float64, seed int64) (res *Result, attempts, acceptedTotal int, err error) {
+func seedCRRPhase2(c CRR, g *graph.Graph, p float64, seed int64) (res *Result, attempts, accepted int, err error) {
 	if err := checkP(p); err != nil {
 		return nil, 0, 0, err
 	}
@@ -61,7 +61,6 @@ func seedCRRPhase2(c CRR, g *graph.Graph, p float64, seed int64) (res *Result, a
 	if tgt > 0 && tgt < m {
 		rng := rand.New(rand.NewSource(seed))
 		steps := c.steps(tgt)
-		accepted, window := 0, 0
 		for i := 0; i < steps; i++ {
 			attempts++
 			ki := rng.Intn(tgt)
@@ -75,21 +74,11 @@ func seedCRRPhase2(c CRR, g *graph.Graph, p float64, seed int64) (res *Result, a
 				degKept[e2.U]++
 				degKept[e2.V]++
 				accepted++
-				acceptedTotal++
-			}
-			if c.AdaptiveStop > 0 {
-				window++
-				if window == adaptiveWindow {
-					if float64(accepted)/float64(window) < c.AdaptiveStop {
-						break
-					}
-					accepted, window = 0, 0
-				}
 			}
 		}
 	}
 	res, err = newResult(g, p, kept[:tgt])
-	return res, attempts, acceptedTotal, err
+	return res, attempts, accepted, err
 }
 
 // seedCRRReduce is the complete pre-migration CRR pipeline, including the
@@ -152,7 +141,7 @@ func seedBM2Reduce(b BM2, g *graph.Graph, p float64) (res *Result, added int, er
 	n := g.NumNodes()
 	caps := make([]int, n)
 	for u := 0; u < n; u++ {
-		caps[u] = b.Rounding.apply(p * float64(g.Degree(graph.NodeID(u))))
+		caps[u] = int(math.Round(p * float64(g.Degree(graph.NodeID(u)))))
 	}
 	bm, err := matching.GreedyBMatching(g, caps, b.Order)
 	if err != nil {
@@ -193,7 +182,7 @@ func seedBM2Reduce(b BM2, g *graph.Graph, p float64) (res *Result, added int, er
 			continue
 		}
 		w := gain(a, bb)
-		if w < 0 || (w == 0 && b.DropZeroGain) {
+		if w < 0 {
 			continue
 		}
 		h := q.Push(bpEdge{a, bb}, w)
@@ -342,7 +331,6 @@ func TestCRRMatchesSeedPhase2(t *testing.T) {
 		for _, c := range []CRR{
 			{Seed: 3, Importance: ImportanceDegreeProduct},
 			{Seed: 5, Importance: ImportanceRandom},
-			{Seed: 7, Importance: ImportanceDegreeProduct, AdaptiveStop: 0.02},
 			{Seed: 11, Importance: ImportanceRandom, Steps: 1},
 			{Seed: 13, Importance: ImportanceDegreeProduct, Steps: 7},
 			{Seed: 17, Importance: ImportanceRandom, Steps: 9},
@@ -364,14 +352,14 @@ func TestCRRMatchesSeedPhase2(t *testing.T) {
 }
 
 // TestCRRRewireCountersMatchSeedPhase2 runs Phase 2 with a live recorder
-// across the 2^20-attempt counter flush and to an AdaptiveStop: the kept
-// edges and the crr.rewire.attempts and crr.rewire.accepted counters must
-// equal the oracle's.
+// across the 2^20-attempt counter flush and at the default step count: the
+// kept edges and the crr.rewire.attempts and crr.rewire.accepted counters
+// must equal the oracle's.
 func TestCRRRewireCountersMatchSeedPhase2(t *testing.T) {
 	g := oracleGraphs()["barabasi-albert"]
 	for _, c := range []CRR{
 		{Seed: 19, Importance: ImportanceRandom, Steps: 1<<20 + 3},
-		{Seed: 7, Importance: ImportanceDegreeProduct, AdaptiveStop: 0.02},
+		{Seed: 7, Importance: ImportanceDegreeProduct},
 	} {
 		want, attempts, accepted, err := seedCRRPhase2(c, g, 0.5, c.Seed)
 		if err != nil {
@@ -384,7 +372,7 @@ func TestCRRRewireCountersMatchSeedPhase2(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		label := fmt.Sprintf("steps=%d adaptive=%v", c.Steps, c.AdaptiveStop)
+		label := fmt.Sprintf("steps=%d", c.Steps)
 		sameReduction(t, label, got, want)
 		vals := rec.CounterValues()
 		if vals["crr.rewire.attempts"] != int64(attempts) || vals["crr.rewire.accepted"] != int64(accepted) {
@@ -431,10 +419,8 @@ func TestBM2MatchesSeedImplementation(t *testing.T) {
 		for name, g := range grp.graphs {
 			for _, b := range []BM2{
 				{},
-				{DropZeroGain: true},
-				{Rounding: RoundHalfEven},
 				{Order: matching.ScarceFirst},
-				{Order: matching.DenseFirst, DropZeroGain: true},
+				{Order: matching.DenseFirst},
 			} {
 				for _, p := range grp.ps {
 					got, err := b.Reduce(g, p)

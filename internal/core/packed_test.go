@@ -106,7 +106,6 @@ func TestPackedAdjacencyDisagreeingWithEdges(t *testing.T) {
 		WeightedSample{Seed: 1},
 		ForestFire{Seed: 1},
 		SpanningForest{Seed: 1},
-		TargetedCRR{Seed: 1},
 	} {
 		for _, ratio := range []float64{0.3, 0.9} {
 			_, _ = r.Reduce(g, ratio)

@@ -5,9 +5,9 @@ import (
 	"slices"
 )
 
-// This file holds the shared Phase 1 ranking of CRR and TargetedCRR: order
-// all edge ids by descending importance, breaking ties uniformly at random
-// ("edges of the same importance are selected randomly", Algorithm 1).
+// This file holds CRR's Phase 1 ranking: order all edge ids by descending
+// importance, breaking ties uniformly at random ("edges of the same
+// importance are selected randomly", Algorithm 1).
 //
 // The seed implementation realized the random tie-break by materializing
 // rng.Perm(|E|) and stable-sorting it by score — an extra |E|-sized

@@ -45,58 +45,6 @@ func runAblationSampling(cfg Config) error {
 	return cfg.render(tbl)
 }
 
-// runAblationRounding compares BM2's capacity rounding rules (DESIGN.md
-// §5.3).
-func runAblationRounding(cfg Config) error {
-	g, err := cfg.build("ca-GrQc")
-	if err != nil {
-		return err
-	}
-	tbl := newTable(
-		fmt.Sprintf("Ablation 2 (ca-GrQc stand-in, |V|=%d): BM2 rounding rule", g.NumNodes()),
-		"p", "half-up |E'|", "half-up delta", "half-even |E'|", "half-even delta")
-	for _, p := range []float64{0.7, 0.5, 0.3} {
-		up, err := (core.BM2{Rounding: core.RoundHalfUp}).Reduce(g, p)
-		if err != nil {
-			return err
-		}
-		even, err := (core.BM2{Rounding: core.RoundHalfEven}).Reduce(g, p)
-		if err != nil {
-			return err
-		}
-		tbl.addRow(f3(p),
-			fmt.Sprint(up.Reduced.NumEdges()), f4(up.Delta()),
-			fmt.Sprint(even.Reduced.NumEdges()), f4(even.Delta()))
-	}
-	return cfg.render(tbl)
-}
-
-// runAblationZeroGain compares keeping vs dropping gain = 0 bipartite edges
-// in BM2 Phase 2 (Example 2's "user preference"; DESIGN.md §5.4).
-func runAblationZeroGain(cfg Config) error {
-	g, err := cfg.build("ca-GrQc")
-	if err != nil {
-		return err
-	}
-	tbl := newTable(
-		fmt.Sprintf("Ablation 3 (ca-GrQc stand-in, |V|=%d): BM2 zero-gain edges", g.NumNodes()),
-		"p", "keep |E'|", "keep delta", "drop |E'|", "drop delta")
-	for _, p := range []float64{0.7, 0.5, 0.3} {
-		keep, err := (core.BM2{}).Reduce(g, p)
-		if err != nil {
-			return err
-		}
-		drop, err := (core.BM2{DropZeroGain: true}).Reduce(g, p)
-		if err != nil {
-			return err
-		}
-		tbl.addRow(f3(p),
-			fmt.Sprint(keep.Reduced.NumEdges()), f4(keep.Delta()),
-			fmt.Sprint(drop.Reduced.NumEdges()), f4(drop.Delta()))
-	}
-	return cfg.render(tbl)
-}
-
 // runAblationOrder compares BM2 Phase-1 edge scan orders (DESIGN.md §5.5).
 func runAblationOrder(cfg Config) error {
 	g, err := cfg.build("ca-GrQc")
@@ -150,41 +98,6 @@ func runAblationImportance(cfg Config) error {
 		tbl.addRow(im.String(), f4(res.AvgDelta()),
 			f3(task.Utility(g, res.Reduced)),
 			f4(sp.Error(g, res.Reduced)), fsec(dur))
-	}
-	return cfg.render(tbl)
-}
-
-// runAblationAdaptive compares the fixed [10·P]-step rewiring budget with
-// the adaptive early stop across thresholds (DESIGN.md §5.7).
-func runAblationAdaptive(cfg Config) error {
-	g, err := cfg.build("ca-HepPh")
-	if err != nil {
-		return err
-	}
-	bopt := betweennessOptions(g, cfg.Seed+77, cfg.Workers, cfg.Batch)
-	tbl := newTable(
-		fmt.Sprintf("Ablation 7 (ca-HepPh stand-in, |V|=%d, p=0.5): CRR adaptive stop", g.NumNodes()),
-		"variant", "avg delta", "time (s)")
-	variants := []struct {
-		name string
-		stop float64
-	}{
-		{"fixed [10*P]", 0},
-		{"adaptive 10%", 0.10},
-		{"adaptive 3%", 0.03},
-		{"adaptive 1%", 0.01},
-	}
-	for _, v := range variants {
-		var res *core.Result
-		dur, err := timed(func() error {
-			var rerr error
-			res, rerr = core.CRR{Seed: cfg.Seed + 1, Betweenness: bopt, AdaptiveStop: v.stop}.Reduce(g, 0.5)
-			return rerr
-		})
-		if err != nil {
-			return err
-		}
-		tbl.addRow(v.name, f4(res.AvgDelta()), fsec(dur))
 	}
 	return cfg.render(tbl)
 }

@@ -146,8 +146,9 @@ func timed(fn func() error) (time.Duration, error) {
 
 // Experiment is one reproducible paper artifact.
 type Experiment struct {
-	// ID is the paper artifact id: "fig4" ... "fig10", "t3" ... "t10", or an
-	// ablation id "ab1" ... "ab5".
+	// ID is the paper artifact id ("fig4" ... "fig10", "t3" ... "t10"), an
+	// ablation id ("ab1", "ab4", "ab5", "ab6", "ab8") or an extension id;
+	// -list prints them all.
 	ID string
 	// Title describes the artifact as the paper captions it.
 	Title string
@@ -174,12 +175,9 @@ func All() []Experiment {
 		{"t9", "Table IX: utility of top-10% queries II", runT9},
 		{"t10", "Table X: utility of link prediction", runT10},
 		{"ab1", "Ablation: exact vs sampled betweenness inside CRR", runAblationSampling},
-		{"ab2", "Ablation: BM2 rounding rule (half-up vs half-even)", runAblationRounding},
-		{"ab3", "Ablation: BM2 zero-gain bipartite edges (keep vs drop)", runAblationZeroGain},
 		{"ab4", "Ablation: BM2 Phase-1 b-matching edge order", runAblationOrder},
 		{"ab5", "Ablation: CRR rewiring on vs off across p", runAblationRewiring},
 		{"ab6", "Ablation: CRR Phase-1 importance (betweenness vs proxies)", runAblationImportance},
-		{"ab7", "Ablation: CRR adaptive rewiring stop vs fixed budget", runAblationAdaptive},
 		{"ab8", "Ablation: UDS 2-hop candidate cap (memoization knob)", runAblationUDSCap},
 		{"noise", "Extension: noise filtering — do reducers shed spurious edges first?", runNoise},
 		{"headline", "Headline: abstract's accuracy-gain and time-ratio claims", runHeadline},

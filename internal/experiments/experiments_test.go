@@ -21,7 +21,7 @@ func TestRegistryCompleteAndUnique(t *testing.T) {
 	wantIDs := []string{
 		"fig4", "fig5ab", "fig5cd", "fig7", "fig8", "fig9", "fig10",
 		"t3", "t4", "t5", "t6", "t7", "t8", "t9", "t10",
-		"ab1", "ab2", "ab3", "ab4", "ab5", "ab6", "ab7", "ab8", "noise",
+		"ab1", "ab4", "ab5", "ab6", "ab8", "noise",
 		"headline", "quality", "memory", "baselines", "stream",
 	}
 	if len(all) != len(wantIDs) {

@@ -82,7 +82,6 @@ func runBaselines(cfg Config) error {
 	}
 	reducers := []core.Reducer{
 		core.CRR{Seed: cfg.Seed + 1, Betweenness: betweennessOptions(g, cfg.Seed+77, cfg.Workers, cfg.Batch)},
-		core.TargetedCRR{Seed: cfg.Seed + 1, Betweenness: betweennessOptions(g, cfg.Seed+77, cfg.Workers, cfg.Batch)},
 		core.BM2{},
 		core.Random{Seed: cfg.Seed + 2},
 		core.ForestFire{Seed: cfg.Seed + 3},

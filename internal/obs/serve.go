@@ -157,7 +157,6 @@ var metricHelp = map[string]string{
 	"stream.inserts":             "Streaming edge insertions applied.",
 	"stream.novel_kept":          "Streaming novel edges kept.",
 	"stream.swaps_accepted":      "Streaming reservoir swaps accepted.",
-	"targeted.repair.rounds":     "Targeted-repair rounds executed.",
 }
 
 // helpFor returns the HELP text for an internal metric name, with a
