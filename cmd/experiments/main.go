@@ -77,6 +77,16 @@ func run(runID string, list bool, scale int, seed int64, psFlag, out string, ski
 			ps = append(ps, p)
 		}
 	}
+	// Resolve the id before -out is created, so a bad id leaves an
+	// existing output file as it was.
+	var one experiments.Experiment
+	if runID != "all" {
+		e, err := experiments.ByID(runID)
+		if err != nil {
+			return err
+		}
+		one = e
+	}
 	var w io.Writer = os.Stdout
 	if out != "" {
 		f, err := os.Create(out)
@@ -117,9 +127,5 @@ func run(runID string, list bool, scale int, seed int64, psFlag, out string, ski
 		}
 		return nil
 	}
-	e, err := experiments.ByID(runID)
-	if err != nil {
-		return err
-	}
-	return runOne(e)
+	return runOne(one)
 }

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -19,9 +21,28 @@ func TestRunRequiresID(t *testing.T) {
 	}
 }
 
+// TestRunUnknownID: a bad id fails before -out is touched, so an existing
+// file comes back byte-identical, and the error carries no prefix of its
+// own for main's "experiments:" to double.
 func TestRunUnknownID(t *testing.T) {
-	if err := run("bogus", false, 16, 0, "", "", false, false, 0, 0, nil); err == nil {
-		t.Error("unknown experiment id accepted")
+	out := filepath.Join(t.TempDir(), "results.txt")
+	want := []byte("# committed results\n")
+	if err := os.WriteFile(out, want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := run("bogus", false, 16, 0, "", out, false, false, 0, 0, nil)
+	if err == nil {
+		t.Fatal("unknown experiment id accepted")
+	}
+	if line := fmt.Sprintln("experiments:", err); strings.Count(line, "experiments:") != 1 {
+		t.Errorf("error line %q repeats the command prefix", line)
+	}
+	got, rerr := os.ReadFile(out)
+	if rerr != nil {
+		t.Fatal(rerr)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("-out after a bad id = %q, want it untouched: %q", got, want)
 	}
 }
 

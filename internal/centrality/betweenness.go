@@ -53,11 +53,13 @@ type Options struct {
 	Batch int
 	// Obs is the parent observability span; nil (the zero value) records
 	// nothing at no cost. When set, the kernel reports a "betweenness" span
-	// with per-worker busy time, a "betweenness.sources_done" counter, the
-	// engine's "msbfs.*" counters and histograms and — on the edge path — a
-	// "brandes.edge_folds" counter of dependency terms folded into edge
-	// scores. Instrumentation never alters the scores: they stay
-	// bit-identical with Obs on or off, at any worker count.
+	// with per-worker busy time, a "betweenness.sources_done" counter, a
+	// "betweenness.mapped_bytes" counter of the row and mask bytes it held
+	// outside the Go heap, the engine's "msbfs.*" counters and histograms
+	// and — on the edge path — a "brandes.edge_folds" counter of dependency
+	// terms folded into edge scores. Instrumentation never alters the
+	// scores: they stay bit-identical with Obs on or off, at any worker
+	// count.
 	Obs *obs.Span
 }
 

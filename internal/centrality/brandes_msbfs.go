@@ -54,6 +54,7 @@ import (
 	"math/bits"
 	"sort"
 	"time"
+	"unsafe"
 
 	"edgeshed/internal/graph"
 	"edgeshed/internal/msbfs"
@@ -146,6 +147,10 @@ type brandes struct {
 	workers int
 	width   int
 
+	// mem is the mapping that holds sigma, delta and slotMask (see
+	// newScratch), unmapped when the call returns; nil when they are on
+	// the heap.
+	mem          []byte
 	sigma, delta []float64
 	// coef is the row array that holds the coefficient (1+delta)/sigma of
 	// every settled (node, bit) slot: delta on the edges-only path, which
@@ -238,7 +243,7 @@ func msbfsBetweenness(g *graph.Graph, opt Options, wantNodes, wantEdges bool) ([
 	sp.SetTotal(int64(len(srcs)))
 
 	b := newBrandes(g, par.Workers(opt.Workers, n), width, wantNodes, wantEdges, spans, sp.Enabled())
-	defer b.team.Close()
+	defer b.close()
 	wm := msbfs.NewMeter(sp, "betweenness").Worker(0, b.tr)
 	for lo := 0; lo < len(srcs); lo += width {
 		hi := min(lo+width, len(srcs))
@@ -265,14 +270,16 @@ func msbfsBetweenness(g *graph.Graph, opt Options, wantNodes, wantEdges bool) ([
 func newBrandes(g *graph.Graph, workers, width int, wantNodes, wantEdges, spans, timed bool) *brandes {
 	c, edges := g.CSR(), g.Edges()
 	n, m := c.NumNodes(), len(edges)
+	slots := 0
+	if wantEdges {
+		slots = c.NumSlots()
+	}
 	b := &brandes{
 		c:        c,
 		tr:       msbfs.New(c, width, true),
 		team:     par.NewTeam(workers),
 		workers:  workers,
 		width:    width,
-		sigma:    make([]float64, n*width),
-		delta:    make([]float64, n*width),
 		srcMask:  make([]uint64, n),
 		nodeAcc:  zeros(wantNodes, n),
 		nodePart: zeros(wantNodes && spans, n),
@@ -280,6 +287,7 @@ func newBrandes(g *graph.Graph, workers, width int, wantNodes, wantEdges, spans,
 		edgePart: zeros(wantEdges && spans, m),
 		folds:    make([]int64, workers*pad),
 	}
+	b.sigma, b.delta, b.slotMask, b.mem = newScratch(n*width, slots)
 	for i := range b.lvl {
 		b.lvl[i] = make([]uint64, n)
 	}
@@ -292,7 +300,6 @@ func newBrandes(g *graph.Graph, workers, width int, wantNodes, wantEdges, spans,
 	}
 	b.blocks = max(1, min(workers*blocksPerWorker, c.NumSlots()/minBlockSlots))
 	if wantEdges {
-		b.slotMask = make([]uint64, c.NumSlots())
 		b.edgeCut = make([]int, b.blocks+1)
 		for i := 1; i <= b.blocks; i++ {
 			b.edgeCut[i] = n
@@ -306,6 +313,38 @@ func newBrandes(g *graph.Graph, workers, width int, wantNodes, wantEdges, spans,
 	}
 	b.run = b.work
 	return b
+}
+
+// newScratch allocates the σ and δ/coefficient rows, rows floats each, and
+// a crossing mask of slots words (nil for none), zeroed. Together they are
+// the bulk of a call's memory, so they come from one mapping of their own
+// where mapScratch gives one (mem) and leave the process's resident memory
+// when close unmaps it, instead of lingering as garbage until the next
+// collection. Otherwise they are three heap slices and mem is nil.
+func newScratch(rows, slots int) (sigma, delta []float64, slotMask []uint64, mem []byte) {
+	mem = mapScratch(8 * (2*rows + slots))
+	if mem == nil {
+		if slots > 0 {
+			slotMask = make([]uint64, slots)
+		}
+		return make([]float64, rows), make([]float64, rows), slotMask, nil
+	}
+	base := unsafe.Pointer(unsafe.SliceData(mem))
+	f := unsafe.Slice((*float64)(base), 2*rows)
+	if slots > 0 {
+		slotMask = unsafe.Slice((*uint64)(unsafe.Add(base, 16*rows)), slots)
+	}
+	return f[:rows:rows], f[rows:], slotMask, mem
+}
+
+// close stops the team, then unmaps the scratch: no worker can touch a
+// row once Close has returned. The slices into it are dropped first, so no
+// live pointer is left into a range the runtime may map again.
+func (b *brandes) close() {
+	b.team.Close()
+	mem := b.mem
+	b.sigma, b.delta, b.coef, b.slotMask, b.mem = nil, nil, nil, nil, nil
+	unmapScratch(mem)
 }
 
 // setRanges splits batch [lo, hi) of a total-source list into its shards'
@@ -759,6 +798,7 @@ func (b *brandes) report(sp *obs.Span, wm *msbfs.WorkerMeter, sources int) {
 		return
 	}
 	sp.Counter("betweenness.sources_done").AddAt(0, int64(sources))
+	sp.Counter("betweenness.mapped_bytes").AddAt(0, int64(len(b.mem)))
 	foldCtr := sp.Counter("brandes.edge_folds")
 	for w := 0; w < b.workers; w++ {
 		foldCtr.AddAt(w, b.folds[w*pad])

@@ -22,6 +22,7 @@ package centrality
 import (
 	"math"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"edgeshed/internal/graph"
@@ -298,11 +299,20 @@ func TestClosenessSampledDeterministicAndSane(t *testing.T) {
 	}
 }
 
-// TestNodeBetweennessBitIdenticalToCanonicalOracle pins the batched Brandes
-// path to its canonical serial oracle bit for bit, exact and sampled,
-// across graphs, worker counts and batch widths — the any-worker-count,
-// any-batch-width determinism guarantee.
-func TestNodeBetweennessBitIdenticalToCanonicalOracle(t *testing.T) {
+// oracleCase is one input of the canonical-oracle tests.
+type oracleCase struct {
+	name string
+	g    *graph.Graph
+	opt  Options
+}
+
+// oracleCases are every property graph exact and sampled, plus one graph
+// whose scratch outgrows a 2 MiB huge page at Batch 64 (3,000 nodes: 3.1
+// MB of rows, 3.2 MB with the crossing mask) but not at Batch 1 or 8, so
+// in builds that map scratch one input pins the mapped and the heap path
+// against the same oracle. It runs sampled only: exact, Batch 1 would run
+// 3,000 traversals per configuration.
+func oracleCases() []oracleCase {
 	modes := []struct {
 		name string
 		opt  Options
@@ -311,20 +321,32 @@ func TestNodeBetweennessBitIdenticalToCanonicalOracle(t *testing.T) {
 		{"sampled", Options{Samples: 60, Seed: 3}},
 		{"sampled-100", Options{Samples: 100, Seed: 3}},
 	}
+	var cases []oracleCase
 	for _, tg := range propertyGraphs() {
 		for _, mode := range modes {
-			want, _ := canonicalBetweenness(tg.g, mode.opt)
-			for _, workers := range propertyConfigs.workers {
-				for _, batch := range propertyConfigs.batches {
-					opt := mode.opt
-					opt.Workers = workers
-					opt.Batch = batch
-					got := NodeBetweenness(tg.g, opt)
-					for u := range want {
-						if got[u] != want[u] {
-							t.Fatalf("%s/%s workers=%d batch=%d node %d: %v != oracle %v",
-								tg.name, mode.name, workers, batch, u, got[u], want[u])
-						}
+			cases = append(cases, oracleCase{tg.name + "/" + mode.name, tg.g, mode.opt})
+		}
+	}
+	return append(cases, oracleCase{"BA3000/sampled-100", gen.BarabasiAlbert(3000, 3, 7), Options{Samples: 100, Seed: 3}})
+}
+
+// TestNodeBetweennessBitIdenticalToCanonicalOracle pins the batched Brandes
+// path to its canonical serial oracle bit for bit, exact and sampled,
+// across graphs, worker counts and batch widths — the any-worker-count,
+// any-batch-width determinism guarantee.
+func TestNodeBetweennessBitIdenticalToCanonicalOracle(t *testing.T) {
+	for _, tc := range oracleCases() {
+		want, _ := canonicalBetweenness(tc.g, tc.opt)
+		for _, workers := range propertyConfigs.workers {
+			for _, batch := range propertyConfigs.batches {
+				opt := tc.opt
+				opt.Workers = workers
+				opt.Batch = batch
+				got := NodeBetweenness(tc.g, opt)
+				for u := range want {
+					if got[u] != want[u] {
+						t.Fatalf("%s workers=%d batch=%d node %d: %v != oracle %v",
+							tc.name, workers, batch, u, got[u], want[u])
 					}
 				}
 			}
@@ -339,41 +361,31 @@ func TestNodeBetweennessBitIdenticalToCanonicalOracle(t *testing.T) {
 // proof that the slot-mask fold's summation tree is a function of (graph,
 // Options) alone.
 func TestEdgeBetweennessBitIdenticalToCanonicalOracle(t *testing.T) {
-	modes := []struct {
-		name string
-		opt  Options
-	}{
-		{"exact", Options{}},
-		{"sampled", Options{Samples: 60, Seed: 3}},
-		{"sampled-100", Options{Samples: 100, Seed: 3}},
-	}
-	for _, tg := range propertyGraphs() {
-		for _, mode := range modes {
-			wantN, wantE := canonicalBetweenness(tg.g, mode.opt)
-			for _, workers := range propertyConfigs.workers {
-				for _, batch := range propertyConfigs.batches {
-					opt := mode.opt
-					opt.Workers = workers
-					opt.Batch = batch
-					gotE := EdgeBetweennessScores(tg.g, opt)
-					for i := range wantE {
-						if gotE[i] != wantE[i] {
-							t.Fatalf("%s/%s workers=%d batch=%d edge %d %v: %v != oracle %v",
-								tg.name, mode.name, workers, batch, i, tg.g.Edges()[i], gotE[i], wantE[i])
-						}
+	for _, tc := range oracleCases() {
+		wantN, wantE := canonicalBetweenness(tc.g, tc.opt)
+		for _, workers := range propertyConfigs.workers {
+			for _, batch := range propertyConfigs.batches {
+				opt := tc.opt
+				opt.Workers = workers
+				opt.Batch = batch
+				gotE := EdgeBetweennessScores(tc.g, opt)
+				for i := range wantE {
+					if gotE[i] != wantE[i] {
+						t.Fatalf("%s workers=%d batch=%d edge %d %v: %v != oracle %v",
+							tc.name, workers, batch, i, tc.g.Edges()[i], gotE[i], wantE[i])
 					}
-					bothN, bothE := Betweenness(tg.g, opt)
-					for u := range wantN {
-						if bothN[u] != wantN[u] {
-							t.Fatalf("%s/%s workers=%d batch=%d Betweenness node %d: %v != oracle %v",
-								tg.name, mode.name, workers, batch, u, bothN[u], wantN[u])
-						}
+				}
+				bothN, bothE := Betweenness(tc.g, opt)
+				for u := range wantN {
+					if bothN[u] != wantN[u] {
+						t.Fatalf("%s workers=%d batch=%d Betweenness node %d: %v != oracle %v",
+							tc.name, workers, batch, u, bothN[u], wantN[u])
 					}
-					for i := range wantE {
-						if bothE[i] != wantE[i] {
-							t.Fatalf("%s/%s workers=%d batch=%d Betweenness edge %d: %v != oracle %v",
-								tg.name, mode.name, workers, batch, i, bothE[i], wantE[i])
-						}
+				}
+				for i := range wantE {
+					if bothE[i] != wantE[i] {
+						t.Fatalf("%s workers=%d batch=%d Betweenness edge %d: %v != oracle %v",
+							tc.name, workers, batch, i, bothE[i], wantE[i])
 					}
 				}
 			}
@@ -440,9 +452,12 @@ func TestBatchClampedToEngineWidth(t *testing.T) {
 // non-perturbation guarantee for the MS-BFS kernels: a live recorder — with
 // the flight recorder installed as the par slot observer, the full PR-9
 // surface — must not change one output bit at any Workers × Batch, and the
-// msbfs.* counters, histograms and flight rings must actually move.
+// msbfs.* counters, histograms and flight rings must actually move. At
+// 3,000 nodes the betweenness scratch exceeds 2 MiB at Batch 64 only, so
+// in builds that map it both scratch paths run with obs on, and the span
+// reports mapped bytes exactly there.
 func TestMSBFSKernelsBitIdenticalWithObs(t *testing.T) {
-	g := gen.BarabasiAlbert(300, 3, 11)
+	g := gen.BarabasiAlbert(3000, 3, 11)
 	for _, workers := range []int{1, 4} {
 		for _, batch := range []int{1, 64} {
 			opt := Options{Samples: 80, Seed: 5, Workers: workers, Batch: batch}
@@ -493,6 +508,10 @@ func TestMSBFSKernelsBitIdenticalWithObs(t *testing.T) {
 			if len(rec.Flight().Events()) == 0 {
 				t.Fatalf("workers=%d batch=%d: flight ring stayed empty", workers, batch)
 			}
+			if mapped := vals["betweenness.mapped_bytes"]; (mapped > 0) != (scratchMaps && batch == 64) {
+				t.Fatalf("workers=%d batch=%d: betweenness.mapped_bytes = %d in a build where mapping is %v",
+					workers, batch, mapped, scratchMaps)
+			}
 		}
 	}
 }
@@ -500,15 +519,21 @@ func TestMSBFSKernelsBitIdenticalWithObs(t *testing.T) {
 // TestSampledBetweennessFillsBatches pins shard grouping: 256 sampled
 // sources make 16-source shards, so four consecutive shards share each
 // 64-wide traversal — four full batches rather than sixteen quarter-full
-// ones, at one worker and at two.
+// ones, at one worker and at two. The call's 0.3 MB of scratch is under
+// one huge page, so it stays on the heap and the span reports no bytes
+// mapped.
 func TestSampledBetweennessFillsBatches(t *testing.T) {
 	g := gen.BarabasiAlbert(300, 3, 11)
 	for _, workers := range []int{1, 2} {
 		rec := obs.New("test")
 		EdgeBetweennessScores(g, Options{Samples: 256, Seed: 5, Workers: workers, Obs: rec.Root()})
 		rec.Root().End()
-		if got := rec.CounterValues()["msbfs.batches_done"]; got != 4 {
+		vals := rec.CounterValues()
+		if got := vals["msbfs.batches_done"]; got != 4 {
 			t.Fatalf("workers=%d: msbfs.batches_done = %d, want 4", workers, got)
+		}
+		if got, ok := vals["betweenness.mapped_bytes"]; !ok || got != 0 {
+			t.Fatalf("workers=%d: betweenness.mapped_bytes = %d (recorded %v), want 0", workers, got, ok)
 		}
 		occ := rec.HistogramValues()["msbfs.batch_occupancy"]
 		if occ == nil || occ.Count != 4 || occ.Sum != 4*64 {
@@ -521,23 +546,35 @@ func TestSampledBetweennessFillsBatches(t *testing.T) {
 // layout: a call allocates one traversal, one pair of rows and one crossing
 // mask whatever the worker count — four workers allocate within 10% of one
 // worker, where one row set per worker would allocate about four times as
-// much — and nothing of it outlives the call. A call on a tiny graph
-// first replaces anything an earlier call might have left reachable; once
-// the big call's result is all that is left and the collector has run,
-// the heap has grown by the result and at most as much again.
+// much — and nothing of it outlives the call. The rows and mask (2.1 MB
+// here) leave the heap in builds that map them, so a call's allocation is
+// its heap bytes plus the bytes its span reports mapped. A call on a tiny
+// graph first replaces anything an earlier call might have left reachable;
+// once the big call's result is all that is left and the collector has
+// run, the heap has grown by the result and at most as much again, and
+// resident memory has not kept the mapping.
 func TestBetweennessScratchIndependentOfWorkers(t *testing.T) {
 	g := gen.BarabasiAlbert(2000, 3, 7)
 	g.CSR()
 	opt := Options{Samples: 256, Seed: 1}
+	// call runs one call and returns its scores and the bytes it mapped.
+	call := func(workers int) ([]float64, int64) {
+		rec := obs.New("test")
+		o := opt
+		o.Workers, o.Obs = workers, rec.Root()
+		scores := EdgeBetweennessScores(g, o)
+		return scores, rec.CounterValues()["betweenness.mapped_bytes"]
+	}
 	allocated := func(workers int) uint64 {
 		var before, after runtime.MemStats
-		o := opt
-		o.Workers = workers
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		EdgeBetweennessScores(g, o)
+		_, mapped := call(workers)
 		runtime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc
+		if (mapped > 0) != scratchMaps {
+			t.Fatalf("Workers=%d mapped %d bytes of scratch in a build where mapping is %v", workers, mapped, scratchMaps)
+		}
+		return after.TotalAlloc - before.TotalAlloc + uint64(mapped)
 	}
 	allocated(4) // warm up
 	one, four := allocated(1), allocated(4)
@@ -547,15 +584,19 @@ func TestBetweennessScratchIndependentOfWorkers(t *testing.T) {
 	opt.Workers = 4
 	EdgeBetweennessScores(gen.Path(4), opt)
 	var before, after runtime.MemStats
-	runtime.GC()
+	debug.FreeOSMemory()
 	runtime.ReadMemStats(&before)
-	scores := EdgeBetweennessScores(g, opt)
-	runtime.GC()
+	resident := residentBytes(t)
+	scores, mapped := call(4)
+	debug.FreeOSMemory()
 	runtime.ReadMemStats(&after)
 	result := uint64(len(scores)) * 8
 	if after.HeapAlloc > before.HeapAlloc+2*result {
 		t.Fatalf("heap grew %d bytes across the call, result is %d: scratch outlived it",
 			after.HeapAlloc-before.HeapAlloc, result)
+	}
+	if grew := residentBytes(t) - resident; mapped > 0 && grew > mapped/2 {
+		t.Fatalf("resident memory grew %d bytes across a call that mapped %d: the mapping outlived it", grew, mapped)
 	}
 	runtime.KeepAlive(scores)
 }

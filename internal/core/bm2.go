@@ -96,6 +96,10 @@ func (b BM2) Reduce(g *graph.Graph, p float64) (*Result, error) {
 	}
 	var bp []bpEdge
 	start := make([]int32, n+1) // node u's slots are run[start[u]:end[u]]
+	// picks bounds the edges Algorithm 3 can still add: each pop moves its
+	// B node to group C and drops the node's other edges, so at most one
+	// edge per queued B node joins the result.
+	picks := 0
 	for i, e := range g.Edges() {
 		if inSelected[i>>6]&(1<<(i&63)) != 0 {
 			continue
@@ -117,6 +121,9 @@ func (b BM2) Reduce(g *graph.Graph, p float64) (*Result, error) {
 		}
 		q.Push(int32(len(bp)), w)
 		bp = append(bp, bpEdge{int32(i), a, bb})
+		if start[bb+1] == 0 {
+			picks++
+		}
 		start[a+1]++
 		start[bb+1]++
 	}
@@ -160,7 +167,13 @@ func (b BM2) Reduce(g *graph.Graph, p float64) (*Result, error) {
 			break
 		}
 		a, bb := bp[s].a, bp[s].bb
+		if len(bm.IDs) == cap(bm.IDs) {
+			// Phase 1's reserve is full: grow once, to exactly the bound,
+			// where append would grow by a quarter at a time.
+			bm.IDs = append(make([]int32, 0, len(bm.IDs)+picks), bm.IDs...)
+		}
 		bm.IDs = append(bm.IDs, bp[s].id)
+		picks--
 		if qWeight != nil {
 			matchWeight += popW
 			gainHist.Observe(int64(popW * 1e6))

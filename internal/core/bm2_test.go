@@ -9,6 +9,7 @@ import (
 	"edgeshed/internal/graph"
 	"edgeshed/internal/graph/gen"
 	"edgeshed/internal/matching"
+	"edgeshed/internal/obs"
 )
 
 func TestBM2IsSubgraph(t *testing.T) {
@@ -169,6 +170,38 @@ func TestBM2StarGraph(t *testing.T) {
 	}
 	if hubDis := res.Dis(0); math.Abs(hubDis) > 1.0 {
 		t.Errorf("hub dis = %v, want within 1 of expectation", hubDis)
+	}
+}
+
+// TestBM2Algorithm3PicksOnePerBNode pins the bound BM2 sizes its one
+// growth of the ids to when Algorithm 3 outgrows Phase 1's reserve: a pop
+// moves its B node to group C and drops the node's other edges, so
+// Algorithm 3 adds at most one edge per queued B node. Two hubs share 50
+// leaves at p = 0.2: each leaf expects 0.4 edges, so its capacity rounds
+// to 0, Phase 1 matches nothing and reserves room for 10 ids, and every
+// leaf is a B node queued twice, once per hub. Algorithm 3 pops 20 edges,
+// past the reserve, until each hub holds its expected 10, and no leaf
+// takes both of its edges.
+func TestBM2Algorithm3PicksOnePerBNode(t *testing.T) {
+	var edges []graph.Edge
+	for leaf := graph.NodeID(2); leaf < 52; leaf++ {
+		edges = append(edges, graph.Edge{U: 0, V: leaf}, graph.Edge{U: 1, V: leaf})
+	}
+	g := graph.MustFromEdges(52, edges)
+	rec := obs.New("test")
+	res, err := BM2{Obs: rec.Root()}.Reduce(g, 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.Root().End()
+	pops := rec.CounterValues()["flatpq.pops"]
+	if got := res.Reduced.NumEdges(); pops != 20 || got != 20 {
+		t.Fatalf("Algorithm 3 popped %d edges and kept %d, want 20 and 20", pops, got)
+	}
+	for leaf := graph.NodeID(2); leaf < 52; leaf++ {
+		if d := res.Reduced.Degree(leaf); d > 1 {
+			t.Fatalf("leaf %d took %d edges in Algorithm 3, want at most 1", leaf, d)
+		}
 	}
 }
 

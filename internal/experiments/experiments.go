@@ -200,5 +200,5 @@ func ByID(id string) (Experiment, error) {
 		ids = append(ids, e.ID)
 	}
 	sort.Strings(ids)
-	return Experiment{}, fmt.Errorf("experiments: unknown id %q (have %v)", id, ids)
+	return Experiment{}, fmt.Errorf("unknown experiment id %q (have %v)", id, ids)
 }

@@ -104,6 +104,7 @@ func progressSnapshot(rec *Recorder) *ProgressSnapshot {
 // lint (metriclint_test.go) fails on any literal name a non-test call site
 // registers without an entry here.
 var metricHelp = map[string]string{
+	"betweenness.mapped_bytes":   "Betweenness sigma/delta row and crossing-mask bytes mapped outside the Go heap.",
 	"betweenness.sources_done":   "Brandes/MS-BFS betweenness source vertices completed.",
 	"bm2.avg_dis":                "BM2 achieved average degree discrepancy per node.",
 	"bm2.bound.theorem2":         "Theorem 2 bound on BM2 average discrepancy per node.",
