@@ -13,8 +13,11 @@
 // bounded-memory external-sort packer (graph.PackEdgeListFile): edge keys
 // spill to sorted temp runs and the CSR arrays are filled through a
 // read-write mapping of the output, so graphs larger than RAM can be
-// packed. The shared observability flags apply (-metrics, -profile,
-// -debug-addr serves live packing progress); see internal/obs.
+// packed. Either way -workers bounds the goroutines that parse the text,
+// radix-sort the edge keys and fill the CSR arrays; the output file is
+// byte-identical at any count. The shared observability flags apply
+// (-metrics, -profile, -debug-addr serves live packing progress); see
+// internal/obs.
 package main
 
 import (
@@ -35,7 +38,7 @@ func main() {
 		order   = flag.String("order", "keep", "dense-id order: keep (ids bit-identical to the text loader's) or degree (degree-descending relabel for locality)")
 		mem     = flag.String("mem", "", "external-sort memory budget, e.g. 256MiB (suffixes K/M/G, binary); empty packs in RAM. Out-of-core packing reads text edge lists and implies -order keep")
 		tmp     = flag.String("tmp", "", "spill directory for -mem runs (default: the system temp dir)")
-		workers = flag.Int("workers", 0, "parse worker goroutines (0 = GOMAXPROCS); output is identical at any count")
+		workers = flag.Int("workers", 0, "goroutines that parse, sort and fill the CSR arrays (0 = GOMAXPROCS); output is identical at any count")
 		verify  = flag.Bool("verify", false, "re-open and fully validate the output after packing")
 	)
 	cli := obs.BindFlags(flag.CommandLine)
@@ -97,7 +100,7 @@ func run(in, out, order, mem, tmp string, workers int, verify bool, sess *obs.Se
 			in, out, stats.Nodes, stats.Edges, stats.SpillChunks, stats.SpilledKeys, stats.BytesOut)
 	} else {
 		load := sess.Root().Start("load")
-		g, rm, err := graph.LoadFileObs(in, load)
+		g, rm, err := loadInput(in, workers, load)
 		load.End()
 		if err != nil {
 			return err
@@ -128,6 +131,24 @@ func run(in, out, order, mem, tmp string, workers int, verify bool, sess *obs.Se
 		}
 	}
 	return nil
+}
+
+// loadInput loads the in-RAM packer's input: a .esc file is mapped, and a
+// text edge list is parsed, sorted and filled on up to workers workers.
+func loadInput(in string, workers int, sp *obs.Span) (*graph.Graph, *graph.Remapper, error) {
+	if strings.HasSuffix(in, ".esc") {
+		return graph.LoadFileObs(in, sp)
+	}
+	f, err := os.Open(in)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer f.Close()
+	opt := graph.EdgeListOptions{Workers: workers, Obs: sp}
+	if fi, err := f.Stat(); err == nil {
+		opt.TotalBytes = fi.Size()
+	}
+	return graph.ReadEdgeListOpts(f, opt)
 }
 
 // parseBytes parses a human byte size: a plain integer is bytes, and the

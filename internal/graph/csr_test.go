@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -158,4 +159,84 @@ func microTestGraph(t *testing.T, n, m int) *Graph {
 		bld.TryAddEdge(NodeID(rng.Intn(n)), NodeID(rng.Intn(n)))
 	}
 	return bld.Graph()
+}
+
+// serialFill is the one-edge-at-a-time fill that fillCSR must reproduce:
+// count degrees, prefix them into offsets, then place the edges in id
+// order at each endpoint's next free slot.
+func serialFill(n int, edges []Edge) CSR {
+	m := len(edges)
+	c := CSR{Offsets: make([]int32, n+1), Targets: make([]NodeID, 2*m), EdgeID: make([]int32, 2*m), Mate: make([]int32, 2*m)}
+	for _, e := range edges {
+		c.Offsets[e.U+1]++
+		c.Offsets[e.V+1]++
+	}
+	for u := 0; u < n; u++ {
+		c.Offsets[u+1] += c.Offsets[u]
+	}
+	cur := slices.Clone(c.Offsets[:n])
+	for i, e := range edges {
+		su, sv := cur[e.U], cur[e.V]
+		cur[e.U]++
+		cur[e.V]++
+		c.Targets[su], c.Targets[sv] = e.V, e.U
+		c.EdgeID[su], c.EdgeID[sv] = int32(i), int32(i)
+		c.Mate[su], c.Mate[sv] = sv, su
+	}
+	return c
+}
+
+// TestFillCSRMatchesSerialFill pins the parallel fill to the serial one at
+// several worker counts, on shapes that stress the block split: one U-run
+// spanning every block (a star), every in-edge on one node, isolated nodes
+// before, between and after the edges, and graphs on both sides of
+// serialBelow. Every array entry must be overwritten, so the output starts
+// out as garbage.
+func TestFillCSRMatchesSerialFill(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	big := serialBelow + 5000
+	shapes := map[string]*Graph{
+		"tiny":     MustFromEdges(5, []Edge{{1, 3}, {0, 3}, {3, 4}}),
+		"path":     microTestGraph(t, 50, 49),
+		"random":   microTestGraph(t, 4000, 2*serialBelow),
+		"edgeless": MustFromEdges(7, nil),
+	}
+	star, rstar, sparse := NewBuilder(big+1), NewBuilder(big+1), NewBuilder(3*big)
+	for x := 1; x <= big; x++ {
+		star.TryAddEdge(0, NodeID(x))
+		rstar.TryAddEdge(NodeID(x-1), NodeID(big))
+	}
+	for sparse.NumEdges() < big {
+		// Edges only among the middle third of the ids.
+		sparse.TryAddEdge(NodeID(big+rng.Intn(big)), NodeID(big+rng.Intn(big)))
+	}
+	shapes["star"], shapes["reverse-star"], shapes["isolated-ends"] = star.Graph(), rstar.Graph(), sparse.Graph()
+	for name, g := range shapes {
+		n, edges := g.NumNodes(), g.Edges()
+		want := serialFill(n, edges)
+		for _, workers := range []int{1, 2, 3, 8} {
+			m := len(edges)
+			got := CSR{Offsets: make([]int32, n+1), Targets: make([]NodeID, 2*m), EdgeID: make([]int32, 2*m), Mate: make([]int32, 2*m)}
+			for _, a := range [][]int32{got.Offsets, got.Targets, got.EdgeID, got.Mate} {
+				for i := range a {
+					a[i] = -7
+				}
+			}
+			fillCSR(&got, edges, workers)
+			for arr, pair := range map[string][2][]int32{
+				"Offsets": {got.Offsets, want.Offsets},
+				"Targets": {got.Targets, want.Targets},
+				"EdgeID":  {got.EdgeID, want.EdgeID},
+				"Mate":    {got.Mate, want.Mate},
+			} {
+				if !slices.Equal(pair[0], pair[1]) {
+					i := 0
+					for i < len(pair[1]) && pair[0][i] == pair[1][i] {
+						i++
+					}
+					t.Fatalf("%s, %d workers: %s differs from the serial fill at %d", name, workers, arr, i)
+				}
+			}
+		}
+	}
 }

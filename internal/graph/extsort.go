@@ -11,25 +11,30 @@ import (
 	"slices"
 
 	"edgeshed/internal/obs"
+	"edgeshed/internal/par"
 )
 
 // External-sort packing: edge-list → ESC1 without ever holding the graph in
 // memory. The canonical uint64 edge keys stream out of the parallel parser
-// into a bounded buffer; each time the buffer fills it is sorted,
-// deduplicated and spilled to a temp file, and the spill files are k-way
-// merged twice — once to count degrees (pass 1), once to fill the CSR
-// arrays through a read-write mapping of the output file (pass 2). Peak
-// memory is the key buffer (MemBudget) plus two O(|V|) int32 arrays
-// (degrees and fill cursors), never the O(|E|) edge set.
+// into a buffer that grows toward the memory budget; each time it is full
+// it is radix-sorted, deduplicated and spilled to a temp file. Pass 1
+// merges the spill runs and the in-memory tail run to count the distinct
+// edges, which sizes the output file; pass 2 merges them again into the
+// Edges section of a read-write mapping of that file, and fillCSR builds
+// Offsets, Targets, EdgeID and Mate from that section in place. When
+// nothing spilled, the tail run is the edge list: pass 1 is its length and
+// pass 2 a copy. Peak memory is the key buffer and its sort scratch (both
+// within MemBudget) plus fillCSR's O(workers·|V|) counters, never the
+// O(|E|) edge set.
 //
-// Pass 2 places every edge with slotFill, the fill step that builds every
-// in-RAM Graph, so the packed file is byte-identical to WritePackedFile of
-// the in-RAM graph — pinned by test. The remapper is the one in-memory
-// structure proportional to |V| that cannot be avoided: first-seen dense-id
-// assignment needs the id map.
+// fillCSR is the fill step that builds every in-RAM Graph, so the packed
+// file is byte-identical to WritePackedFile of the in-RAM graph — pinned by
+// test. The remapper is the one in-memory structure proportional to |V|
+// that cannot be avoided: first-seen dense-id assignment needs the label
+// table.
 
-// defaultMemBudget is the spill buffer size when PackOptions.MemBudget is
-// unset: 256 MiB of keys, 32 Mi edges per spill chunk.
+// defaultMemBudget is the key memory when PackOptions.MemBudget is unset:
+// 256 MiB, 16 Mi keys per spill run with their sort scratch.
 const defaultMemBudget = 256 << 20
 
 // PackOptions tunes PackEdgeListFile.
@@ -37,16 +42,20 @@ type PackOptions struct {
 	// Order must be OrderKeep: degree relabeling needs the whole graph and
 	// therefore the in-RAM path (LoadFile + WritePackedFile).
 	Order Order
-	// MemBudget bounds the edge-key spill buffer, in bytes; <= 0 selects
-	// defaultMemBudget. O(|V|) structures (remapper, degree counts, fill
-	// cursors) are not charged against it.
+	// MemBudget bounds the edge keys held in memory, with the scratch that
+	// sorting them needs, in bytes; <= 0 selects defaultMemBudget. The
+	// buffer grows toward it as keys arrive, so small inputs take little.
+	// O(|V|) structures (remapper, fill counters) are not charged against
+	// it, nor are the parse buffers.
 	MemBudget int64
 	// TmpDir is where spill chunks go; empty means the system temp dir.
 	TmpDir string
-	// Workers is the parse worker count; <= 0 selects GOMAXPROCS.
+	// Workers bounds the goroutines that parse, sort the key runs and fill
+	// the CSR arrays; <= 0 selects GOMAXPROCS. The file is byte-identical
+	// at any worker count.
 	Workers int
-	// Obs, when non-nil, receives the phase spans ("parse", "merge.count",
-	// "merge.fill") and pack.* counters.
+	// Obs, when non-nil, receives the phase spans ("parse", "sort",
+	// "merge.count", "merge.fill") and pack.* counters.
 	Obs *obs.Span
 }
 
@@ -79,10 +88,6 @@ func PackEdgeListFile(inPath, outPath string, opt PackOptions) (*PackStats, erro
 	if budget <= 0 {
 		budget = defaultMemBudget
 	}
-	capKeys := int(budget / 8)
-	if capKeys < 16 {
-		capKeys = 16
-	}
 
 	tmpDir, err := os.MkdirTemp(opt.TmpDir, "escpack-*")
 	if err != nil {
@@ -100,102 +105,58 @@ func PackEdgeListFile(inPath, outPath string, opt PackOptions) (*PackStats, erro
 		elOpt.TotalBytes = fi.Size()
 	}
 
-	// Spill phase: buffer keys, and each time the budget fills, sort +
+	// Spill phase: buffer keys, and each time the buffer is full, sort +
 	// dedup + write one run. The residual buffer stays in memory as the
 	// final (sorted) run.
 	stats := &PackStats{}
-	var chunkPaths []string
-	buf := make([]uint64, 0, capKeys)
-	spill := func() error {
-		buf = sortedRun(buf)
-		path := filepath.Join(tmpDir, fmt.Sprintf("run-%06d", len(chunkPaths)))
-		if err := writeKeyFile(path, buf); err != nil {
+	var runPaths []string
+	keys := newKeyBuffer(budget)
+	rm, err := scanEdgeList(in, elOpt, ingestChunkSize, func(key uint64) error {
+		if !keys.add(key) {
+			return nil
+		}
+		run := keys.sorted(opt.Workers)
+		path := filepath.Join(tmpDir, fmt.Sprintf("run-%06d", len(runPaths)))
+		if err := writeKeyFile(path, run); err != nil {
 			return err
 		}
-		chunkPaths = append(chunkPaths, path)
-		stats.SpilledKeys += int64(len(buf))
+		runPaths = append(runPaths, path)
+		stats.SpilledKeys += int64(len(run))
 		opt.Obs.Counter("pack.spill.chunks").Add(1)
-		opt.Obs.Counter("pack.spill.keys").Add(int64(len(buf)))
-		buf = buf[:0]
-		return nil
-	}
-	rm, err := scanEdgeList(in, elOpt, ingestChunkSize, func(key uint64) error {
-		buf = append(buf, key)
-		if len(buf) == cap(buf) {
-			return spill()
-		}
+		opt.Obs.Counter("pack.spill.keys").Add(int64(len(run)))
+		keys.reset()
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	buf = sortedRun(buf)
+	sortSpan := opt.Obs.Start("sort")
+	tail := keys.sorted(opt.Workers)
+	sortSpan.End()
 	n := rm.Len()
 	stats.Nodes = n
+	stats.SpillChunks = len(runPaths)
 
-	openSources := func() ([]keySource, error) {
-		srcs := make([]keySource, 0, len(chunkPaths)+1)
-		for _, p := range chunkPaths {
-			f, err := os.Open(p)
-			if err != nil {
-				closeSources(srcs)
-				return nil, err
-			}
-			srcs = append(srcs, &fileKeys{f: f, br: bufio.NewReaderSize(f, 256<<10)})
-		}
-		if len(buf) > 0 {
-			srcs = append(srcs, &memKeys{keys: buf})
-		}
-		return srcs, nil
-	}
-
-	// Pass 1: merge all runs to count per-node degrees and the deduplicated
-	// edge total.
-	count := opt.Obs.Start("merge.count")
-	deg := make([]int32, n+1) // deg[u+1] is u's degree: Offsets before the prefix sum
-	m := 0
-	{
-		srcs, err := openSources()
+	// Pass 1: the distinct edge total.
+	m := len(tail)
+	if len(runPaths) > 0 {
+		count := opt.Obs.Start("merge.count")
+		m, err = mergeRuns(runPaths, tail, func(int, uint64) error {
+			return nil
+		})
+		count.End()
 		if err != nil {
-			count.End()
-			return nil, err
-		}
-		mg := newKeyMerger(srcs)
-		for {
-			k, ok, err := mg.next()
-			if err != nil {
-				closeSources(srcs)
-				count.End()
-				return nil, err
-			}
-			if !ok {
-				break
-			}
-			if int64(m) >= int64(1)<<31/2 {
-				closeSources(srcs)
-				count.End()
-				return nil, csrBounds(n, m+1)
-			}
-			e := unpackKey(k)
-			deg[e.U+1]++
-			deg[e.V+1]++
-			m++
-		}
-		if err := closeSources(srcs); err != nil {
-			count.End()
 			return nil, err
 		}
 	}
-	count.End()
 	if err := csrBounds(n, m); err != nil {
 		return nil, err
 	}
 	stats.Edges = m
-	stats.SpillChunks = len(chunkPaths)
 
 	// Lay out and create the output file, then fill it through a shared
-	// read-write mapping: pass 2's CSR stores land directly in the page
-	// cache and the kernel writes them back.
+	// read-write mapping: pass 2's stores land directly in the page cache
+	// and the kernel writes them back.
 	identity := identityLabels(rm, n)
 	l := newPackLayout(n, m, identity)
 	out, err := os.Create(outPath)
@@ -236,46 +197,34 @@ func PackEdgeListFile(inPath, outPath string, opt PackOptions) (*PackStats, erro
 		Mate:    viewInt32s(data, l.mateOff, 2*m),
 	}
 	edges := viewEdges(data, l.edgesOff, m)
-	copy(c.Offsets, deg)
 
-	// Pass 2: merge again and place every edge with the in-RAM graphs'
-	// fill step, so the file is byte-identical to the in-RAM pack.
+	// Pass 2: the sorted edge list into the Edges section, then the CSR
+	// arrays from it with the in-RAM graphs' fill step, so the file is
+	// byte-identical to the in-RAM pack.
 	fill := opt.Obs.Start("merge.fill")
-	fill.SetTotal(int64(m))
-	slots := newSlotFill(&c)
-	{
-		srcs, err := openSources()
+	if len(runPaths) == 0 {
+		par.Blocks(m, workersFor(opt.Workers, m), func(_, lo, hi int) {
+			for i, k := range tail[lo:hi] {
+				edges[lo+i] = unpackKey(k)
+			}
+		})
+	} else {
+		filled, err := mergeRuns(runPaths, tail, func(i int, k uint64) error {
+			if i >= m {
+				return fmt.Errorf("graph: merge passes disagree: counted %d edges, found more", m)
+			}
+			edges[i] = unpackKey(k)
+			return nil
+		})
+		if err == nil && filled != m {
+			err = fmt.Errorf("graph: merge passes disagree: counted %d edges, filled %d", m, filled)
+		}
 		if err != nil {
 			fill.End()
 			return nil, err
 		}
-		mg := newKeyMerger(srcs)
-		id := int32(0)
-		for {
-			k, ok, err := mg.next()
-			if err != nil {
-				closeSources(srcs)
-				fill.End()
-				return nil, err
-			}
-			if !ok {
-				break
-			}
-			e := unpackKey(k)
-			edges[id] = e
-			slots.place(id, e)
-			id++
-			fill.Done(1)
-		}
-		if err := closeSources(srcs); err != nil {
-			fill.End()
-			return nil, err
-		}
-		if int(id) != m {
-			fill.End()
-			return nil, fmt.Errorf("graph: merge passes disagree: counted %d edges, filled %d", m, id)
-		}
 	}
+	fillCSR(&c, edges, opt.Workers)
 	fill.End()
 
 	// Header last: the checksum covers the now-complete payload.
@@ -298,11 +247,83 @@ func PackEdgeListFile(inPath, outPath string, opt PackOptions) (*PackStats, erro
 	return stats, nil
 }
 
-// sortedRun sorts and deduplicates a key buffer in place, returning the
-// shrunken slice (capacity preserved for reuse).
-func sortedRun(keys []uint64) []uint64 {
-	slices.Sort(keys)
-	return slices.Compact(keys)
+// minKeyBuffer is the key count a keyBuffer starts at, and the floor of
+// its capacity however small the budget.
+const minKeyBuffer = 16
+
+// keyBuffer holds the packer's edge keys between spills, with the scratch
+// that sorting them needs. It starts small and doubles as keys arrive, up
+// to half the budget's worth of keys (never below minKeyBuffer keys), so a
+// small input never pays for the whole budget. The scratch is allocated
+// at the first sort, which comes only once the buffer is full or the
+// input is done, so keys and scratch together stay within the budget.
+type keyBuffer struct {
+	keys, scratch []uint64
+	capKeys       int // the most keys held at once
+}
+
+// newKeyBuffer returns an empty buffer for a budget of budget bytes.
+func newKeyBuffer(budget int64) *keyBuffer {
+	return &keyBuffer{capKeys: int(max(budget/16, minKeyBuffer))}
+}
+
+// add appends key and reports whether the buffer is now full, in which
+// case the caller spills it (sorted, then reset) before the next add.
+func (b *keyBuffer) add(key uint64) bool {
+	if len(b.keys) == cap(b.keys) {
+		grown := make([]uint64, len(b.keys), min(max(2*cap(b.keys), minKeyBuffer), b.capKeys))
+		copy(grown, b.keys)
+		b.keys = grown
+	}
+	b.keys = append(b.keys, key)
+	return len(b.keys) == b.capKeys
+}
+
+// sorted radix-sorts and deduplicates the buffered keys and returns them.
+// The result aliases the buffer, valid until the next add or reset.
+func (b *keyBuffer) sorted(workers int) []uint64 {
+	if cap(b.scratch) < len(b.keys) {
+		b.scratch = make([]uint64, len(b.keys))
+	}
+	return slices.Compact(radixSort(b.keys, b.scratch, workers))
+}
+
+// reset empties the buffer, keeping its storage for the next run.
+func (b *keyBuffer) reset() { b.keys = b.keys[:0] }
+
+// mergeRuns merges the spill runs at paths and the in-memory tail run into
+// one ascending deduplicated stream, calls visit with each key and its
+// position, and returns the number of keys.
+func mergeRuns(paths []string, tail []uint64, visit func(i int, k uint64) error) (int, error) {
+	srcs := make([]keySource, 0, len(paths)+1)
+	for _, p := range paths {
+		f, err := os.Open(p)
+		if err != nil {
+			closeSources(srcs)
+			return 0, err
+		}
+		srcs = append(srcs, &fileKeys{f: f, br: bufio.NewReaderSize(f, 256<<10)})
+	}
+	if len(tail) > 0 {
+		srcs = append(srcs, &memKeys{keys: tail})
+	}
+	mg := newKeyMerger(srcs)
+	i := 0
+	for {
+		k, ok, err := mg.next()
+		if err == nil && ok {
+			err = visit(i, k)
+		}
+		if err != nil {
+			closeSources(srcs)
+			return 0, err
+		}
+		if !ok {
+			break
+		}
+		i++
+	}
+	return i, closeSources(srcs)
 }
 
 // writeKeyFile writes one sorted run as raw little-endian uint64s.

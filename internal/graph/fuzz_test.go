@@ -15,8 +15,10 @@ import (
 // it accepts satisfies the package invariants. Each input is also parsed in
 // chunks of 1, 2 and 7 bytes as well as the default, at 1 and 3 workers, so
 // that small inputs cross chunk boundaries: the graph, the labels and any
-// error, line number included, must not change. An accepted graph written
-// back by WriteEdgeList must read back to the same labelled edge set.
+// error, line number included, must not change. Every line the one-pass
+// plainPair accepts must give the same ids on the general path. An
+// accepted graph written back by WriteEdgeList must read back to the same
+// labelled edge set.
 func FuzzReadEdgeList(f *testing.F) {
 	f.Add("1 2\n2 3\n")
 	f.Add("# comment\n\n10 20\n20 10\n10 10\n")
@@ -26,7 +28,23 @@ func FuzzReadEdgeList(f *testing.F) {
 	f.Add(strings.Repeat("1 2\n", 100))
 	f.Add("1 2\r\n\t3   4 extra\n# c\n5 6\n7\n")
 	f.Add("-1 -2\n-2 -3\n\n\n-3 -1\n4 x\n")
+	f.Add("123456789012345678 1\n1234567890123456789 2\n99999999999999999999 3\n007\t\t08\n1 2 3\n4 5\r\n6 7")
+	f.Add("5 999999999999999999\n5 9999999999999999999\n9999999999999999999 5\n")
 	f.Fuzz(func(t *testing.T, data string) {
+		for rest := []byte(data); len(rest) > 0; {
+			u, v, n := plainPair(rest)
+			line, size := rest, len(rest)
+			if i := bytes.IndexByte(rest, '\n'); i >= 0 {
+				line, size = rest[:i], i+1
+			}
+			if n > 0 {
+				gu, gv, err := parsePair(line)
+				if n != size || err != nil || gu != u || gv != v {
+					t.Fatalf("plainPair(%q) = %d, %d over %d bytes; general path %d, %d, %v over %d", line, u, v, n, gu, gv, err, size)
+				}
+			}
+			rest = rest[size:]
+		}
 		g, rm, err := readEdgeList(strings.NewReader(data), EdgeListOptions{Workers: 1}, ingestChunkSize)
 		for _, chunk := range []int{1, 2, 7, ingestChunkSize} {
 			for _, workers := range []int{1, 3} {

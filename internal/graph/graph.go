@@ -149,7 +149,7 @@ func (g *Graph) Degrees() []int {
 // needed when a caller wants to hand ownership across an API that might
 // outlive g's backing arrays — a packed graph's mapping above all.
 func (g *Graph) Clone() *Graph {
-	return newGraph(g.NumNodes(), slices.Clone(g.edges))
+	return newGraph(g.NumNodes(), slices.Clone(g.edges), 0)
 }
 
 // Subgraph returns a new graph over the same node set containing exactly the
@@ -192,7 +192,7 @@ func (g *Graph) SubgraphByIDs(ids []int32) (*Graph, error) {
 		prev = id
 		edges[i] = g.edges[id]
 	}
-	return newGraph(g.NumNodes(), edges), nil
+	return newGraph(g.NumNodes(), edges, 0), nil
 }
 
 // InducedSubgraph returns the subgraph induced by the given node set: the

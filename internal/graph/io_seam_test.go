@@ -170,11 +170,11 @@ func TestCSRBounds(t *testing.T) {
 	}
 }
 
-// TestIdentityRemapperLazy pins the O(1) identity mode: no map, labels on
+// TestIdentityRemapperLazy pins the O(1) identity mode: no table, labels on
 // demand, transparent materialization when ID must assign something new.
 func TestIdentityRemapperLazy(t *testing.T) {
 	rm := IdentityRemapper(5)
-	if rm.toDense != nil || rm.labels != nil {
+	if rm.slots != nil || rm.labels != nil {
 		t.Fatal("identity remapper materialized eagerly")
 	}
 	if rm.Len() != 5 {
@@ -188,8 +188,8 @@ func TestIdentityRemapperLazy(t *testing.T) {
 			t.Errorf("ID(%d) = %d", u, rm.ID(int64(u)))
 		}
 	}
-	if rm.toDense != nil {
-		t.Fatal("in-range lookups materialized the map")
+	if rm.slots != nil {
+		t.Fatal("in-range lookups materialized the table")
 	}
 	// An unseen label forces materialization and gets the next dense id.
 	if id := rm.ID(99); id != 5 {
@@ -212,16 +212,16 @@ func TestIdentityRemapperLabelPanics(t *testing.T) {
 
 func TestRemapperFromLabelsLazy(t *testing.T) {
 	rm := RemapperFromLabels([]int64{70, 50, 90})
-	if rm.toDense != nil {
-		t.Fatal("label-mode remapper built the reverse map eagerly")
+	if rm.slots != nil {
+		t.Fatal("label-mode remapper built the label table eagerly")
 	}
 	if rm.Len() != 3 || rm.Label(1) != 50 {
 		t.Errorf("Len=%d Label(1)=%d", rm.Len(), rm.Label(1))
 	}
-	if rm.toDense != nil {
-		t.Fatal("Label materialized the map")
+	if rm.slots != nil {
+		t.Fatal("Label materialized the table")
 	}
-	// ID needs the reverse map: existing labels resolve, new ones append.
+	// ID needs the label table: existing labels resolve, new ones append.
 	if id := rm.ID(90); id != 2 {
 		t.Errorf("ID(90) = %d, want 2", id)
 	}

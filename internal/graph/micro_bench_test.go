@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -62,13 +63,21 @@ func BenchmarkEdgeListWrite(b *testing.B) {
 	}
 }
 
-// BenchmarkCSRBuild times the Graph constructor alone: degree count and
-// slot fill from a sorted canonical edge list.
+// BenchmarkCSRBuild times the Graph constructor alone (fillCSR from a
+// sorted canonical edge list) at one worker and at the default count, on
+// graphs on both sides of serialBelow, the edge count under which the
+// default runs on one worker: the sizes of the bench's suite-grqc and
+// crr-exact-hepph inputs, under it, and 250,000 edges, over it.
 func BenchmarkCSRBuild(b *testing.B) {
-	g := microGraph(b, 10000, 50000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		newGraph(g.NumNodes(), g.Edges())
+	for _, size := range []struct{ n, m int }{{5242, 15720}, {12008, 120025}, {25000, 250000}} {
+		g := microGraph(b, size.n, size.m)
+		for _, workers := range []int{1, 0} {
+			b.Run(fmt.Sprintf("m=%d/workers=%d", size.m, workers), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					sinkGraph = newGraph(g.NumNodes(), g.Edges(), workers)
+				}
+			})
+		}
 	}
 }
 
@@ -102,8 +111,11 @@ func BenchmarkCSRTraversal(b *testing.B) {
 	sinkCSR = sum
 }
 
-// sinkCSR defeats dead-code elimination in the traversal benchmarks.
-var sinkCSR int64
+// sinkCSR and sinkGraph defeat dead-code elimination in the benchmarks.
+var (
+	sinkCSR   int64
+	sinkGraph *Graph
+)
 
 func BenchmarkValidate(b *testing.B) {
 	g := microGraph(b, 10000, 50000)

@@ -257,7 +257,7 @@ func relabelByDegree(g *Graph, rm *Remapper) (*Graph, *Remapper, error) {
 	for _, e := range g.Edges() {
 		keys = append(keys, packKey(newID[e.U], newID[e.V]))
 	}
-	h, err := graphFromKeys(n, keys)
+	h, err := graphFromKeys(n, keys, 0)
 	if err != nil {
 		return nil, nil, err
 	}

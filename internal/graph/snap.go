@@ -6,9 +6,12 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"os"
 	"slices"
 	"strconv"
+	"sync"
+	"unsafe"
 
 	"edgeshed/internal/obs"
 	"edgeshed/internal/par"
@@ -21,18 +24,21 @@ import (
 // stay ordered:
 //
 //   - Chunking: the input is cut into ~4 MiB chunks aligned to line
-//     boundaries, gathered into groups of one chunk per worker.
-//   - Parsing (parallel): workers turn a chunk's bytes into flat (u, v)
-//     int64 pairs with a byte-slice field splitter and a manual base-10
-//     parser — no line strings, no Fields slices, no per-line allocation.
+//     boundaries, gathered into groups of one chunk per worker, in
+//     buffers reused from group to group.
+//   - Parsing (parallel, one group ahead): workers turn a chunk's bytes
+//     into flat (u, v) int64 pairs with a byte-slice field splitter and a
+//     manual base-10 parser — no line strings, no Fields slices, no
+//     per-line allocation — while the previous group is being collected.
 //   - Collection (ordered): parsed chunks are folded in strictly in input
-//     order, so first-seen node remapping — which defines the dense id
-//     space — is deterministic and identical to the serial loader's. Edges
-//     are packed into canonical uint64 keys as they are remapped.
-//   - Indexing: keys are sorted and deduplicated (dropping duplicate edges
-//     in either orientation, as SNAP loaders do); the sorted keys are the
-//     canonical edge list the Graph constructor takes — no Builder map, no
-//     per-node sort.
+//     order, so first-seen node remapping (the Remapper's label table) —
+//     which defines the dense id space — is deterministic and identical to
+//     the serial loader's. Edges are packed into canonical uint64 keys as
+//     they are remapped.
+//   - Indexing: keys are radix-sorted and deduplicated (dropping duplicate
+//     edges in either orientation, as SNAP loaders do); the sorted keys are
+//     the canonical edge list the Graph constructor takes — no Builder
+//     map, no per-node sort.
 //
 // The result is bit-identical to the seed loader for every input, pinned by
 // the oracle test in snap_test.go.
@@ -45,8 +51,9 @@ const ingestChunkSize = 4 << 20
 // EdgeListOptions tunes ReadEdgeListOpts. The zero value matches
 // ReadEdgeList: GOMAXPROCS parse workers and no instrumentation.
 type EdgeListOptions struct {
-	// Workers is the parse worker count; <= 0 selects GOMAXPROCS. The
-	// loaded graph is bit-identical at any worker count.
+	// Workers bounds the goroutines that parse, sort the edge keys and
+	// fill the CSR arrays; <= 0 selects GOMAXPROCS. The loaded graph is
+	// bit-identical at any worker count.
 	Workers int
 	// Obs, when non-nil, receives the ingest phase spans ("parse", "index")
 	// and the ingest.bytes / ingest.lines / ingest.edges counters.
@@ -86,7 +93,7 @@ func readEdgeList(r io.Reader, opt EdgeListOptions, chunkSize int) (*Graph, *Rem
 		return nil, nil, err
 	}
 	index := opt.Obs.Start("index")
-	g, err := graphFromKeys(rm.Len(), keys)
+	g, err := graphFromKeys(rm.Len(), keys, opt.Workers)
 	index.End()
 	if err != nil {
 		return nil, nil, err
@@ -161,6 +168,11 @@ func collectEdgeList(r io.Reader, opt EdgeListOptions, chunkSize int) (*Remapper
 // remap is a pure function of the input bytes, independent of the worker
 // count and the chunk size. Each remapped canonical edge key (self-loops
 // already dropped, duplicates not) is passed to emit in input order.
+//
+// Reading and parsing run one group ahead: while this goroutine folds
+// group k, another reads group k+1 and the workers parse it, into the
+// buffers group k−1 used. Every return waits for the group in flight
+// first, so no goroutine outlives the call and r is not read after it.
 func scanEdgeList(r io.Reader, opt EdgeListOptions, chunkSize int, emit func(key uint64) error) (*Remapper, error) {
 	parse := opt.Obs.Start("parse")
 	defer parse.End()
@@ -172,39 +184,12 @@ func scanEdgeList(r io.Reader, opt EdgeListOptions, chunkSize int, emit func(key
 
 	workers := par.Workers(opt.Workers, 1<<30)
 	rm := NewRemapper()
-	lineBase := 0 // lines consumed before the chunk being collected
-
-	br := bufio.NewReaderSize(r, 256<<10)
-	group := make([][]byte, 0, workers)
-	results := make([]chunkResult, workers)
-	for {
-		group = group[:0]
-		var readErr error
-		for len(group) < workers {
-			chunk, err := readChunk(br, chunkSize)
-			if len(chunk) > 0 {
-				group = append(group, chunk)
-			}
-			if err != nil {
-				readErr = err
-				break
-			}
-		}
-		if readErr == io.EOF {
-			readErr = nil
-		}
-		if readErr != nil {
-			return nil, fmt.Errorf("graph: reading edge list: %w", readErr)
-		}
-		if len(group) == 0 {
-			break
-		}
-		// One chunk per worker: the group never exceeds the worker count.
-		par.Run(len(group), func(w int) { results[w] = parseChunk(group[w]) })
-		for i := range group {
-			res := &results[i]
+	lineBase := 0 // lines consumed before the chunk being folded
+	fold := func(g *parseGroup) error {
+		for i := range g.n {
+			res := &g.results[i]
 			if res.err != nil {
-				return nil, fmt.Errorf("graph: line %d: %w", lineBase+res.errLine, res.err)
+				return fmt.Errorf("graph: line %d: %w", lineBase+res.errLine, res.err)
 			}
 			for j := 0; j+1 < len(res.pairs); j += 2 {
 				u, v := rm.ID(res.pairs[j]), rm.ID(res.pairs[j+1])
@@ -212,28 +197,92 @@ func scanEdgeList(r io.Reader, opt EdgeListOptions, chunkSize int, emit func(key
 					continue
 				}
 				if err := emit(packKey(u, v)); err != nil {
-					return nil, err
+					return err
 				}
 			}
 			if rm.Len() > math.MaxInt32 {
-				return nil, fmt.Errorf("graph: edge list has more than %d distinct nodes, exceeding the int32 id space", math.MaxInt32)
+				return fmt.Errorf("graph: edge list has more than %d distinct nodes, exceeding the int32 id space", math.MaxInt32)
 			}
 			lineBase += res.lines
-			parse.Done(int64(len(group[i])))
-			bytesC.Add(int64(len(group[i])))
+			parse.Done(int64(len(g.bufs[i])))
+			bytesC.Add(int64(len(g.bufs[i])))
 			linesC.Add(int64(res.lines))
-			res.pairs = nil
 		}
+		return nil
+	}
+
+	br := bufio.NewReaderSize(r, 256<<10)
+	cur, next := newParseGroup(workers), newParseGroup(workers)
+	cur.fill(br, chunkSize)
+	for cur.n > 0 || cur.err != nil {
+		if cur.err != nil {
+			return nil, fmt.Errorf("graph: reading edge list: %w", cur.err)
+		}
+		var ahead sync.WaitGroup
+		if !cur.eof {
+			ahead.Add(1)
+			go func(g *parseGroup) {
+				defer ahead.Done()
+				g.fill(br, chunkSize)
+			}(next)
+		}
+		err := fold(cur)
+		ahead.Wait()
+		if err != nil {
+			return nil, err
+		}
+		if cur.eof {
+			break
+		}
+		cur, next = next, cur
 	}
 	return rm, nil
 }
 
-// readChunk reads the next line-aligned chunk: size bytes, extended to the
-// end of the line they stop in, so a chunk ends on a newline unless the
-// input does. It returns io.EOF (possibly alongside a final chunk) when
-// the input is exhausted.
-func readChunk(br *bufio.Reader, size int) ([]byte, error) {
-	buf := make([]byte, size)
+// parseGroup is one group of up to one chunk per worker: the chunks'
+// bytes and their parse results, in buffers that every other group
+// reuses.
+type parseGroup struct {
+	bufs    [][]byte // bufs[:n] are this group's chunks
+	results []chunkResult
+	n       int
+	eof     bool  // the input ended in this group
+	err     error // a read error other than EOF
+}
+
+// newParseGroup returns an empty group of up to workers chunks.
+func newParseGroup(workers int) *parseGroup {
+	return &parseGroup{bufs: make([][]byte, workers), results: make([]chunkResult, workers)}
+}
+
+// fill reads the next group of chunks from br, then parses them in
+// parallel, one worker per chunk. After a read error it parses nothing.
+func (g *parseGroup) fill(br *bufio.Reader, chunkSize int) {
+	g.n, g.eof, g.err = 0, false, nil
+	for g.n < len(g.bufs) {
+		chunk, err := readChunk(br, g.bufs[g.n], chunkSize)
+		g.bufs[g.n] = chunk
+		if len(chunk) > 0 {
+			g.n++
+		}
+		if err == io.EOF {
+			g.eof = true
+			break
+		}
+		if err != nil {
+			g.err = err
+			return
+		}
+	}
+	par.Run(g.n, func(w int) { parseChunk(g.bufs[w], &g.results[w]) })
+}
+
+// readChunk reads the next line-aligned chunk into buf's storage: size
+// bytes, extended to the end of the line they stop in, so a chunk ends on
+// a newline unless the input does. It returns io.EOF (possibly alongside
+// a final chunk) when the input is exhausted.
+func readChunk(br *bufio.Reader, buf []byte, size int) ([]byte, error) {
+	buf = slices.Grow(buf[:0], size)[:size]
 	n, err := io.ReadFull(br, buf)
 	buf = buf[:n]
 	switch err {
@@ -243,15 +292,16 @@ func readChunk(br *bufio.Reader, size int) ([]byte, error) {
 	default:
 		return buf, err
 	}
-	if n > 0 && buf[n-1] != '\n' {
-		// Extend to the end of the current line so no line straddles two
-		// chunks.
-		tail, terr := br.ReadBytes('\n')
+	// Extend to the end of the current line so no line straddles two
+	// chunks.
+	for n > 0 && buf[len(buf)-1] != '\n' {
+		tail, terr := br.ReadSlice('\n')
 		buf = append(buf, tail...)
-		if terr == io.EOF {
+		switch terr {
+		case nil, bufio.ErrBufferFull:
+		case io.EOF:
 			return buf, io.EOF
-		}
-		if terr != nil {
+		default:
 			return buf, terr
 		}
 	}
@@ -264,12 +314,18 @@ func isSpace(c byte) bool {
 	return c == ' ' || c == '\t' || c == '\r' || c == '\v' || c == '\f'
 }
 
-// parseChunk parses one line-aligned chunk into flat (u, v) pairs. It
-// allocates exactly once (the pairs slice); fields are split and integers
-// parsed directly on the chunk's bytes.
-func parseChunk(buf []byte) chunkResult {
-	res := chunkResult{pairs: make([]int64, 0, 2*(len(buf)/8+1))}
+// parseChunk parses one line-aligned chunk into res: flat (u, v) pairs,
+// in the storage of res's previous pairs, grown when short. Fields are
+// split and integers parsed directly on the chunk's bytes.
+func parseChunk(buf []byte, res *chunkResult) {
+	*res = chunkResult{pairs: slices.Grow(res.pairs[:0], 2*(len(buf)/8+1))}
 	for len(buf) > 0 {
+		if u, v, n := plainPair(buf); n > 0 {
+			res.lines++
+			res.pairs = append(res.pairs, u, v)
+			buf = buf[n:]
+			continue
+		}
 		line := buf
 		if i := bytes.IndexByte(buf, '\n'); i >= 0 {
 			line = buf[:i]
@@ -290,11 +346,45 @@ func parseChunk(buf []byte) chunkResult {
 		if err != nil {
 			res.err = err
 			res.errLine = res.lines
-			return res
+			return
 		}
 		res.pairs = append(res.pairs, u, v)
 	}
-	return res
+}
+
+// plainPair parses the line at the head of buf in one pass when it has the
+// shape nearly every line of a SNAP edge list has: two unsigned base-10
+// ids of at most 18 digits (so no overflow check is needed), separated by
+// spaces or tabs, ending in a newline or at the end of buf. It returns the
+// ids and the line's length with its newline, or n = 0 for any other
+// line, which then takes the general path — so the result is the one the
+// general path would give.
+func plainPair(buf []byte) (u, v int64, n int) {
+	i := 0
+	for i < len(buf) && i < 18 && buf[i]-'0' < 10 {
+		u = u*10 + int64(buf[i]-'0')
+		i++
+	}
+	if i == 0 || i == len(buf) || (buf[i] != ' ' && buf[i] != '\t') {
+		return 0, 0, 0
+	}
+	for i < len(buf) && (buf[i] == ' ' || buf[i] == '\t') {
+		i++
+	}
+	j := i
+	for i < len(buf) && i-j < 18 && buf[i]-'0' < 10 {
+		v = v*10 + int64(buf[i]-'0')
+		i++
+	}
+	switch {
+	case i == j:
+		return 0, 0, 0
+	case i == len(buf):
+		return u, v, i
+	case buf[i] == '\n':
+		return u, v, i + 1
+	}
+	return 0, 0, 0
 }
 
 // parsePair parses the first two whitespace-separated int64 fields of a
@@ -388,18 +478,96 @@ func parseInt64(tok []byte) (int64, bool) {
 }
 
 // graphFromKeys builds a Graph over n nodes from packed canonical edge
-// keys, sorting and deduplicating in place. Sorted keys are the canonical
-// edge list in order, so the constructor needs no edge re-sort and no
-// per-node sort.
-func graphFromKeys(n int, keys []uint64) (*Graph, error) {
-	slices.Sort(keys)
-	keys = slices.Compact(keys)
-	if err := csrBounds(n, len(keys)); err != nil {
+// keys, sorting them (radixSort) and deduplicating. Sorted keys are the
+// canonical edge list in order, so the constructor needs no edge re-sort
+// and no per-node sort. The sort's scratch is the edge list's own
+// allocation, so the call holds the keys and one more array of the same
+// size, as an in-place sort would; keys is overwritten.
+func graphFromKeys(n int, keys []uint64, workers int) (*Graph, error) {
+	buf := make([]uint64, len(keys))
+	sorted := radixSort(keys, buf, workers)
+	// The edge list aliases buf. sorted may too; edge j <= i is written
+	// only after key i has been read, so unpacking in place is safe.
+	edges := unsafe.Slice((*Edge)(unsafe.Pointer(unsafe.SliceData(buf))), len(buf))
+	m, prev := 0, uint64(0)
+	for i, k := range sorted {
+		if i > 0 && k == prev {
+			continue
+		}
+		prev = k
+		edges[m] = unpackKey(k)
+		m++
+	}
+	if err := csrBounds(n, m); err != nil {
 		return nil, err
 	}
-	edges := make([]Edge, len(keys))
-	for i, k := range keys {
-		edges[i] = unpackKey(k)
+	return newGraph(n, edges[:m:m], workers), nil
+}
+
+// radixDigitBits is the widest digit radixSort uses: 2^11 counters per
+// worker stay in L1 while a pass scatters.
+const radixDigitBits = 11
+
+// radixSort sorts packed edge keys ascending with an LSD radix sort over
+// the bits that node ids occupy: with every id below 2^b, a key has 2b
+// significant bits (b of V, then b of U from bit 32), sorted in
+// ceil(2b/11) stable counting passes of equal width — four passes up to
+// 2^22 nodes. Each pass counts every worker's block of keys, then scatters
+// the blocks in parallel into the other buffer. scratch must be at least
+// as long as keys; the sorted keys end in whichever of the two the last
+// pass wrote, and that one is returned. Sorting costs no allocation past
+// the per-worker counters, so the caller decides what memory the scratch
+// is charged to.
+func radixSort(keys, scratch []uint64, workers int) []uint64 {
+	m := len(keys)
+	var or uint64
+	for _, k := range keys {
+		or |= k
 	}
-	return newGraph(n, edges), nil
+	b := max(bits.Len32(uint32(or>>32)), bits.Len32(uint32(or)))
+	if m < 2 || b == 0 {
+		return keys
+	}
+	passes := (2*b + radixDigitBits - 1) / radixDigitBits
+	width := uint((2*b + passes - 1) / passes)
+	mask := uint64(1)<<width - 1
+	low := uint64(1)<<b - 1
+	workers = workersFor(workers, m)
+	buckets := 1 << width
+	counts := make([]int, workers*buckets)
+	src, dst := keys, scratch[:m]
+	for p := 0; p < passes; p++ {
+		shift := uint(p) * width
+		par.Blocks(m, workers, func(w, lo, hi int) {
+			c := counts[w*buckets : (w+1)*buckets]
+			clear(c)
+			for _, k := range src[lo:hi] {
+				c[((k>>32)<<b|k&low)>>shift&mask]++
+			}
+		})
+		// Exclusive prefix in (digit, worker) order: each worker's keys of
+		// one digit follow the earlier workers', so every pass is stable.
+		sum, trivial := 0, false
+		for d := 0; d < buckets; d++ {
+			start := sum
+			for w := 0; w < workers; w++ {
+				c := &counts[w*buckets+d]
+				*c, sum = sum, sum+*c
+			}
+			trivial = trivial || sum-start == m
+		}
+		if trivial {
+			continue // one digit value throughout: the pass would copy
+		}
+		par.Blocks(m, workers, func(w, lo, hi int) {
+			c := counts[w*buckets : (w+1)*buckets]
+			for _, k := range src[lo:hi] {
+				d := ((k>>32)<<b | k&low) >> shift & mask
+				dst[c[d]] = k
+				c[d]++
+			}
+		})
+		src, dst = dst, src
+	}
+	return src
 }

@@ -2,12 +2,16 @@ package graph
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // seedReadEdgeList is the seed-era loader, kept verbatim as the oracle: the
@@ -210,5 +214,80 @@ func TestScanEdgeListEmitError(t *testing.T) {
 	})
 	if err != wantErr {
 		t.Fatalf("scanEdgeList error = %v, want %v", err, wantErr)
+	}
+}
+
+// TestRadixSortMatchesSort pins radixSort to slices.Sort over keys whose
+// ids span 1 to 31 bits, with duplicates, at lengths on both sides of
+// serialBelow and at several worker counts.
+func TestRadixSortMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, idBits := range []int{1, 2, 7, 13, 18, 22, 31} {
+		for _, m := range []int{0, 1, 2, 100, serialBelow - 1, serialBelow + 1, 3 * serialBelow} {
+			keys := make([]uint64, m)
+			for i := range keys {
+				span := int64(1) << idBits
+				if i%4 == 0 {
+					span = min(span, 40) // a small pool: duplicates
+				}
+				keys[i] = packKey(NodeID(rng.Int63n(span)), NodeID(rng.Int63n(span)))
+			}
+			want := slices.Clone(keys)
+			slices.Sort(want)
+			for _, workers := range []int{1, 2, 3} {
+				got := radixSort(slices.Clone(keys), make([]uint64, m), workers)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%d-bit ids, %d keys, %d workers: radixSort differs from slices.Sort", idBits, m, workers)
+				}
+			}
+		}
+	}
+}
+
+// lateReads is a slow reader that counts the reads made after done is
+// set: reads by a goroutine that outlived the call that owned the reader.
+type lateReads struct {
+	r    io.Reader
+	done atomic.Bool
+	late atomic.Int32
+}
+
+// Read implements io.Reader, 64 bytes at most per call.
+func (d *lateReads) Read(p []byte) (int, error) {
+	if d.done.Load() {
+		d.late.Add(1)
+	}
+	time.Sleep(200 * time.Microsecond)
+	return d.r.Read(p[:min(len(p), 64)])
+}
+
+// TestScanEdgeListDrainsOnError pins that a parse or emit error waits for
+// the group being read ahead before scanEdgeList returns: with tiny chunks
+// a group is always in flight when the fold fails, and no read may happen
+// after the call is back.
+func TestScanEdgeListDrainsOnError(t *testing.T) {
+	var sb strings.Builder
+	for i := 0; i < 2000; i++ {
+		fmt.Fprintf(&sb, "%d %d\n", i, i+1)
+	}
+	emitErr := errors.New("spill failed")
+	for _, tc := range []struct {
+		name, input string
+		emit        error
+		want        string
+	}{
+		{"emit", sb.String(), emitErr, emitErr.Error()},
+		{"parse", "1 2\nx y\n" + sb.String(), nil, "graph: line 2:"},
+	} {
+		d := &lateReads{r: strings.NewReader(tc.input)}
+		_, err := scanEdgeList(d, EdgeListOptions{Workers: 2}, 16, func(uint64) error { return tc.emit })
+		d.done.Store(true)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: scanEdgeList error = %v, want %q", tc.name, err, tc.want)
+		}
+		time.Sleep(20 * time.Millisecond)
+		if n := d.late.Load(); n != 0 {
+			t.Fatalf("%s: %d reads after scanEdgeList returned", tc.name, n)
+		}
 	}
 }
