@@ -3,42 +3,14 @@ package main
 import (
 	"fmt"
 	"io"
-	"strings"
 
 	"edgeshed/internal/obs"
 )
 
-// gateFloorNs is the baseline span duration below which wall-time ratios
-// are reported but never gated: a 0.3ms span doubling is scheduler noise,
-// not a regression.
+// gateFloorNs is the baseline duration below which wall-time ratios are
+// reported but never gated: a 0.3ms span doubling is scheduler noise, not
+// a regression. It floors spans and the histograms declared in ns alike.
 const gateFloorNs = 1_000_000
-
-// histogramGateFloors is the unit registry for histogram gating: a family
-// whose name ends in a registered suffix gates when its baseline quantile
-// clears the suffix's noise floor, expressed in the family's own unit.
-// Durations (_ns) reuse the 1ms span floor; micro-scaled quality magnitudes
-// (_micros, e.g. crr.delta_abs_micros, bm2.gain_micros) floor at 1e3 micros
-// = one thousandth of a unit, below which a ratio is rounding noise, not a
-// quality regression. Unregistered suffixes (occupancies, widths) report
-// without ever gating — their shifts are semantic, not regressions.
-var histogramGateFloors = []struct {
-	suffix string
-	floor  float64
-}{
-	{"_ns", gateFloorNs},
-	{"_micros", 1e3},
-}
-
-// histogramGateFloor returns the gating noise floor for a histogram family
-// and whether the family's unit is registered for gating at all.
-func histogramGateFloor(name string) (floor float64, gated bool) {
-	for _, f := range histogramGateFloors {
-		if strings.HasSuffix(name, f.suffix) {
-			return f.floor, true
-		}
-	}
-	return 0, false
-}
 
 // diff compares two run manifests and returns the process exit code
 // (0 ok, 1 breach). Errors mean the inputs were unusable (exit 2).
@@ -84,8 +56,8 @@ func checkEnv(w io.Writer, base, cur *obs.Env, allowEnv bool) error {
 
 // diffManifest compares two run manifests: counter deltas
 // (report-only — counts are semantic, a delta has no regression
-// percentage) and per-span wall-time ratios (gated, above the noise
-// floor).
+// percentage), histogram quantiles and per-span wall-time ratios (gated,
+// above the noise floor).
 func diffManifest(w io.Writer, basePath, curPath string, gate float64, allowEnv bool) ([]string, error) {
 	base, err := obs.ReadManifest(basePath)
 	if err != nil {
@@ -116,11 +88,11 @@ func diffManifest(w io.Writer, basePath, curPath string, gate float64, allowEnv 
 			fmt.Fprintf(w, "span %-40s only in baseline\n", path)
 			continue
 		}
-		spanGate := gate
+		better := obs.Lower
 		if bNs < gateFloorNs {
-			spanGate = -1 // below the noise floor: report, never gate
+			better = obs.Info // below the noise floor: report, never gate
 		}
-		line, breach := ratioLine("span "+path+" wall", float64(bNs), float64(cNs), spanGate)
+		line, breach := ratioLine("span "+path+" wall", float64(bNs), float64(cNs), better, gate)
 		fmt.Fprintln(w, line)
 		if breach != "" {
 			breaches = append(breaches, breach)
@@ -131,7 +103,7 @@ func diffManifest(w io.Writer, basePath, curPath string, gate float64, allowEnv 
 			fmt.Fprintf(w, "span %-40s only in current\n", path)
 		}
 	}
-	line, breach := ratioLine("total wall", float64(base.WallNs), float64(cur.WallNs), gate)
+	line, breach := ratioLine("total wall", float64(base.WallNs), float64(cur.WallNs), obs.Lower, gate)
 	fmt.Fprintln(w, line)
 	if breach != "" {
 		breaches = append(breaches, breach)
@@ -153,14 +125,7 @@ func manifestEnv(m *obs.Manifest) *obs.Env {
 // diffCounters prints old → new (delta) for the union of two counter maps,
 // flagging keys present on only one side.
 func diffCounters(w io.Writer, base, cur map[string]int64) {
-	keys := map[string]bool{}
-	for k := range base {
-		keys[k] = true
-	}
-	for k := range cur {
-		keys[k] = true
-	}
-	for _, k := range sortedKeys(keys) {
+	for _, k := range unionKeys(base, cur) {
 		b, inBase := base[k]
 		c, inCur := cur[k]
 		switch {
@@ -175,21 +140,16 @@ func diffCounters(w io.Writer, base, cur map[string]int64) {
 }
 
 // diffHistograms prints p50/p99 shifts for the union of two manifests'
-// histogram maps and returns gate breaches. Only families with a
-// registered unit suffix (see histogramGateFloors) whose baseline
-// quantile clears that unit's noise floor can breach: unregistered
-// families (occupancies, widths) shift legitimately with inputs, and
-// near-floor quantiles are noise — both report without gating.
+// histogram maps and returns gate breaches. A family gates only when it is
+// declared in ns (obs.Describe) and its baseline quantile clears the 1 ms
+// noise floor, in its declared direction: the declared durations are
+// lower-is-better. Every other family (occupancies, widths, the
+// micro-unit shapes of per-pop gains and per-attempt Δ changes) shifts
+// legitimately with inputs, and near-floor quantiles are noise — both
+// report without gating.
 func diffHistograms(w io.Writer, base, cur map[string]*obs.HistogramSnapshot, gate float64) []string {
-	keys := map[string]bool{}
-	for k := range base {
-		keys[k] = true
-	}
-	for k := range cur {
-		keys[k] = true
-	}
 	var breaches []string
-	for _, k := range sortedKeys(keys) {
+	for _, k := range unionKeys(base, cur) {
 		b, inBase := base[k]
 		c, inCur := cur[k]
 		switch {
@@ -205,12 +165,11 @@ func diffHistograms(w io.Writer, base, cur map[string]*obs.HistogramSnapshot, ga
 			q    float64
 		}{{"p50", 0.50}, {"p99", 0.99}} {
 			bq, cq := b.Quantile(q.q), c.Quantile(q.q)
-			floor, gated := histogramGateFloor(k)
-			qGate := gate
-			if !gated || bq < floor {
-				qGate = -1 // unregistered unit, or below its noise floor
+			better := obs.Info
+			if d := obs.Describe(k); d.Unit == "ns" && bq >= gateFloorNs {
+				better = d.Better
 			}
-			line, breach := ratioLine("histogram "+k+" "+q.name, bq, cq, qGate)
+			line, breach := ratioLine("histogram "+k+" "+q.name, bq, cq, better, gate)
 			fmt.Fprintln(w, line)
 			if breach != "" {
 				breaches = append(breaches, breach)
@@ -237,14 +196,16 @@ func flattenSpans(n *obs.SpanNode, prefix string, out map[string]int64) {
 	}
 }
 
-// ratioLine formats one gated metric comparison and, when the current
-// value exceeds the baseline by more than gate, also returns a breach
-// description. A zero baseline cannot yield a ratio: a zero→nonzero move
-// breaches any configured gate (infinitely worse), zero→zero is a no-op.
-func ratioLine(label string, base, cur, gate float64) (line, breach string) {
+// ratioLine formats one metric comparison and, when the current value
+// regressed beyond gate in the better direction given, also returns a
+// breach description. A zero baseline cannot yield a ratio: any move in
+// the bad direction from zero breaches a set gate (infinitely worse), and
+// zero→zero is a no-op.
+func ratioLine(label string, base, cur float64, better string, gate float64) (line, breach string) {
+	_, breached := regression(base, cur, better, gate)
 	if base == 0 {
 		line = fmt.Sprintf("%-48s 0 -> %g", label, cur)
-		if cur > 0 && gate >= 0 {
+		if breached {
 			breach = fmt.Sprintf("%s: 0 -> %g (no baseline to regress from)", label, cur)
 		}
 		return line, breach
@@ -252,7 +213,7 @@ func ratioLine(label string, base, cur, gate float64) (line, breach string) {
 	ratio := cur / base
 	pct := (ratio - 1) * 100
 	line = fmt.Sprintf("%-48s %g -> %g (%+.1f%%)", label, base, cur, pct)
-	if gate >= 0 && ratio > 1+gate {
+	if breached {
 		breach = fmt.Sprintf("%s: %+.1f%% (limit %+.1f%%)", label, pct, gate*100)
 	}
 	return line, breach

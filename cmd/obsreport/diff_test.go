@@ -193,8 +193,9 @@ func histSnap(value int64, n int64) *obs.HistogramSnapshot {
 }
 
 // TestManifestDiffHistograms pins the histogram side of a manifest diff:
-// p50/p99 are reported for every family, only *_ns families above the noise
-// floor can gate, and one-sided families are surfaced without gating.
+// p50/p99 are reported for every family, only families declared in ns can
+// gate above the noise floor, and one-sided families are surfaced without
+// gating.
 func TestManifestDiffHistograms(t *testing.T) {
 	dir := t.TempDir()
 
@@ -224,7 +225,7 @@ func TestManifestDiffHistograms(t *testing.T) {
 		}
 	}
 
-	// A 4x p50/p99 blowup of a *_ns family above the floor breaches the gate.
+	// A 4x p50/p99 blowup of an ns family above the floor breaches the gate.
 	out.Reset()
 	code, err = diff(&out, base, writeJSON(t, dir, "hslow.json", withHists(160_000_000)), "25%", false, nil)
 	if err != nil || code != 1 {
@@ -256,68 +257,52 @@ func TestManifestDiffHistograms(t *testing.T) {
 	}
 }
 
-// TestHistogramGateFloorRegistry pins the unit registry: each registered
-// suffix maps to its own noise floor, everything else is ungated.
-func TestHistogramGateFloorRegistry(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		floor float64
-		gated bool
-	}{
-		{"crr.sweep.ratio_ns", 1e6, true},
-		{"bfs.level_ns", 1e6, true},
-		{"crr.delta_abs_micros", 1e3, true},
-		{"bm2.gain_micros", 1e3, true},
-		{"msbfs.batch_occupancy", 0, false},
-		{"flatpq.heap_size", 0, false},
-	} {
-		floor, gated := histogramGateFloor(tc.name)
-		if floor != tc.floor || gated != tc.gated {
-			t.Errorf("histogramGateFloor(%q) = (%v, %v), want (%v, %v)",
-				tc.name, floor, gated, tc.floor, tc.gated)
-		}
-	}
-}
-
-// TestMicrosHistogramGating pins the quality-histogram half of the unit
-// registry end to end: a _micros family above its 1e3 floor gates like a
-// duration, while one whose baseline quantile sits under the floor reports
-// without breaching, however much it moves.
+// TestMicrosHistogramGating pins gating by declared unit end to end: the
+// micro-unit families (a per-pop gain and a per-attempt |Δ change|,
+// declared info) never gate, however far they move, while a duration
+// family declared lower-is-better in ns gates above the 1 ms floor and
+// reports without breaching below it.
 func TestMicrosHistogramGating(t *testing.T) {
 	dir := t.TempDir()
-	withMicros := func(gain, tiny int64) *obs.Manifest {
+	withHists := func(batchNs, gain, tiny int64) *obs.Manifest {
 		m := runManifest(80_000_000, 1000)
 		m.Histograms = map[string]*obs.HistogramSnapshot{
+			"msbfs.batch_ns":       histSnap(batchNs, 10),
 			"bm2.gain_micros":      histSnap(gain, 10),
 			"crr.delta_abs_micros": histSnap(tiny, 10),
 		}
 		return m
 	}
-	base := writeJSON(t, dir, "mbase.json", withMicros(100_000, 100))
+	base := writeJSON(t, dir, "mbase.json", withHists(4_000_000, 100_000, 100))
 
-	// Identical: no breach.
+	for _, tc := range []struct {
+		name string
+		cur  *obs.Manifest
+		want int
+	}{
+		{"identical", withHists(4_000_000, 100_000, 100), 0},
+		// 4x blowups of the micro-unit families: shapes, not costs.
+		{"micros-shift", withHists(4_000_000, 400_000, 400), 0},
+		// A 4x slower batch above the floor breaches.
+		{"ns-regressed", withHists(16_000_000, 100_000, 100), 1},
+	} {
+		var out bytes.Buffer
+		code, err := diff(&out, base, writeJSON(t, dir, tc.name+".json", tc.cur), "25%", false, nil)
+		if err != nil || code != tc.want {
+			t.Fatalf("%s = (%d, %v), want (%d, nil)\n%s", tc.name, code, err, tc.want, out.String())
+		}
+		if tc.want == 1 && !strings.Contains(out.String(), "msbfs.batch_ns") {
+			t.Errorf("%s: breach does not name the regressed family:\n%s", tc.name, out.String())
+		}
+	}
+
+	// The duration family with a baseline quantile under the 1 ms floor
+	// (~0.1 ms) blowing up 8x is scheduler noise, never a breach.
+	sub := writeJSON(t, dir, "msub.json", withHists(100_000, 100_000, 100))
 	var out bytes.Buffer
-	code, err := diff(&out, base, writeJSON(t, dir, "msame.json", withMicros(100_000, 100)), "25%", false, nil)
+	code, err := diff(&out, sub, writeJSON(t, dir, "mnoise.json", withHists(800_000, 100_000, 100)), "25%", false, nil)
 	if err != nil || code != 0 {
-		t.Fatalf("identical micros histograms = (%d, %v), want (0, nil)\n%s", code, err, out.String())
-	}
-
-	// 4x blowup of an above-floor _micros family breaches.
-	out.Reset()
-	code, err = diff(&out, base, writeJSON(t, dir, "mworse.json", withMicros(400_000, 100)), "25%", false, nil)
-	if err != nil || code != 1 {
-		t.Fatalf("regressed micros histogram = (%d, %v), want (1, nil)\n%s", code, err, out.String())
-	}
-	if !strings.Contains(out.String(), "bm2.gain_micros") {
-		t.Errorf("breach does not name the regressed family:\n%s", out.String())
-	}
-
-	// The sub-floor family (baseline quantile ~100 micros < 1e3) blowing up
-	// 8x is rounding noise, never a breach.
-	out.Reset()
-	code, err = diff(&out, base, writeJSON(t, dir, "mnoise.json", withMicros(100_000, 800)), "25%", false, nil)
-	if err != nil || code != 0 {
-		t.Fatalf("sub-floor micros blowup = (%d, %v), want (0, nil)\n%s", code, err, out.String())
+		t.Fatalf("sub-floor duration blowup = (%d, %v), want (0, nil)\n%s", code, err, out.String())
 	}
 }
 

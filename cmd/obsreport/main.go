@@ -24,14 +24,17 @@
 // row per (quality metric, preservation ratio) series from each manifest's
 // quality_timeline, one column per run. Runs whose git_commit carries the
 // "-dirty" suffix are flagged: the commit does not identify the measured
-// code. The gate compares, for every directional series ("better": "lower"
-// or "higher" — tasks.Suite scores, theorem-bound headroom, Δ trajectories)
-// with at least two runs, the latest value against the previous one; "info"
-// series (edge counts, bounds) trend but never gate.
+// code. Each series' better direction is the metric's declaration in
+// internal/obs (metric.go), not a guess. The gate compares, for every
+// directional series (lower or higher is better — tasks.Suite scores,
+// theorem-bound headroom, Δ trajectories) with at least two runs, the
+// latest value against the previous one; "info" series (edge counts,
+// bounds) and undeclared metrics trend but never gate.
 //
 // Diff mode compares a baseline manifest with a current one: counter
-// deltas (report-only), histogram p50/p99 shifts and per-span
-// wall-time ratios (gated above per-unit noise floors). Manifests carry the
+// deltas (report-only), histogram p50/p99 shifts and per-span wall-time
+// ratios. Spans and the histograms declared in ns gate above a 1 ms noise
+// floor, by the same regression rule as trend mode. Manifests carry the
 // measuring machine's identity; diff refuses to compare runs from different
 // machines, because a hardware delta masquerades as a perf delta.
 // -allow-env-mismatch downgrades that refusal to a warning for the rare
@@ -147,8 +150,8 @@ type series struct {
 	Metric string `json:"metric"`
 	// Ratio is the preservation ratio; 0 for ratio-less metrics.
 	Ratio float64 `json:"ratio,omitempty"`
-	// Better is the good direction ("lower", "higher", "info"); only
-	// directional series gate.
+	// Better is the metric's declared good direction ("lower", "higher",
+	// "info"); only directional series gate.
 	Better string `json:"better,omitempty"`
 	// Values is the final recorded value per run, aligned with the group's
 	// Runs; nil where the run did not record the metric.
@@ -305,7 +308,7 @@ func groupManifests(ms []*obs.Manifest, paths []string) []*runGroup {
 				sk := seriesKey{q.Metric, q.Ratio}
 				s, ok := byKey[sk]
 				if !ok {
-					s = &series{Metric: q.Metric, Ratio: q.Ratio, Better: q.Better,
+					s = &series{Metric: q.Metric, Ratio: q.Ratio, Better: obs.Describe(q.Metric).Better,
 						Values: make([]*float64, len(runs))}
 					byKey[sk] = s
 					g.Series = append(g.Series, s)
@@ -390,13 +393,10 @@ func renderSeries(w io.Writer, ss []*series, nruns int) {
 }
 
 // gateSeries applies the regression gate to every directional quality
-// series: the latest recorded value against the previous one, regression
-// measured relative to the previous value's magnitude. "info" series and
-// series with fewer than two recorded runs never gate.
+// series: the latest recorded value against the previous one, by the
+// shared regression rule. "info" series and series with fewer than two
+// recorded runs never gate.
 func gateSeries(groups []*runGroup, gate float64) []string {
-	if gate < 0 {
-		return nil
-	}
 	var breaches []string
 	for _, g := range groups {
 		for _, s := range g.Series {
@@ -410,26 +410,34 @@ func gateSeries(groups []*runGroup, gate float64) []string {
 				continue
 			}
 			prev, latest := present[len(present)-2], present[len(present)-1]
-			var regress float64
-			switch s.Better {
-			case "lower":
-				regress = (latest - prev) / math.Max(math.Abs(prev), 1e-12)
-			case "higher":
-				regress = (prev - latest) / math.Max(math.Abs(prev), 1e-12)
-			default:
-				continue
-			}
-			if regress > gate {
+			if worse, breach := regression(prev, latest, s.Better, gate); breach {
 				label := g.Command + " " + s.Metric
 				if s.Ratio != 0 {
 					label += fmt.Sprintf("@p=%g", s.Ratio)
 				}
 				breaches = append(breaches, fmt.Sprintf("%s: %g -> %g (%+.1f%% worse, limit %.1f%%, better=%s)",
-					label, prev, latest, regress*100, gate*100, s.Better))
+					label, prev, latest, worse*100, gate*100, s.Better))
 			}
 		}
 	}
 	return breaches
+}
+
+// regression is the one gate rule of both modes: how far cur moved from
+// base in the bad direction of a metric declared lower- or higher-is-
+// better, as a fraction of |base| (a zero base makes any bad move
+// enormous), and whether that exceeds gate. Info metrics and a negative
+// gate (no -max-regress) never breach.
+func regression(base, cur float64, better string, gate float64) (worse float64, breach bool) {
+	worse = (cur - base) / math.Max(math.Abs(base), 1e-12)
+	switch better {
+	case obs.Lower:
+	case obs.Higher:
+		worse = -worse
+	default:
+		return worse, false
+	}
+	return worse, gate >= 0 && worse > gate
 }
 
 // parseMaxRegress turns "25%" or "0.25" into the fraction 0.25; an empty
@@ -457,6 +465,18 @@ func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// unionKeys returns the keys of a and b together, in sorted order.
+func unionKeys[V any](a, b map[string]V) []string {
+	keys := sortedKeys(a)
+	for k := range b {
+		if _, ok := a[k]; !ok {
+			keys = append(keys, k)
+		}
 	}
 	sort.Strings(keys)
 	return keys

@@ -156,7 +156,7 @@ func (b BM2) Reduce(g *graph.Graph, p float64) (*Result, error) {
 	var matchWeight float64
 	pops := 0
 	if phase2.Enabled() {
-		qWeight = phase2.Quality("bm2.matching_weight", obs.DirHigher)
+		qWeight = phase2.Quality("bm2.matching_weight")
 		gainHist = phase2.Histogram("bm2.gain_micros")
 	}
 

@@ -328,9 +328,9 @@ func (c CRR) rewire(edges []graph.Edge, kept []int32, tgt int, nodes []nodeRec, 
 		// incrementally from the accepted swap deltas the loop already
 		// computes, so its upkeep is one add per accepted swap; the L∞
 		// error is a read-only O(|V|) scan run only at flush cadence.
-		qDelta = rw.Quality("crr.delta", obs.DirLower)
-		qRate = rw.Quality("crr.accept_rate", obs.DirInfo)
-		qLinf = rw.Quality("crr.deg_err_linf", obs.DirLower)
+		qDelta = rw.Quality("crr.delta")
+		qRate = rw.Quality("crr.accept_rate")
+		qLinf = rw.Quality("crr.deg_err_linf")
 		for u := range nodes {
 			curDelta += math.Abs(dis(graph.NodeID(u)))
 		}

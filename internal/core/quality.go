@@ -69,12 +69,12 @@ func (q RatioQuality) record(sp *obs.Span, slot int, method string) {
 		return
 	}
 	prefix := strings.ToLower(method) + "."
-	sp.Quality(prefix+"kept_edges", obs.DirInfo).RecordAt(slot, q.P, float64(q.KeptEdges))
-	sp.Quality(prefix+"kept_fraction", obs.DirInfo).RecordAt(slot, q.P, q.KeptFraction)
-	sp.Quality(prefix+"delta", obs.DirLower).RecordAt(slot, q.P, q.Delta)
-	sp.Quality(prefix+"avg_dis", obs.DirLower).RecordAt(slot, q.P, q.AvgDisPerNode)
+	sp.Quality(prefix+"kept_edges").RecordAt(slot, q.P, float64(q.KeptEdges))
+	sp.Quality(prefix+"kept_fraction").RecordAt(slot, q.P, q.KeptFraction)
+	sp.Quality(prefix+"delta").RecordAt(slot, q.P, q.Delta)
+	sp.Quality(prefix+"avg_dis").RecordAt(slot, q.P, q.AvgDisPerNode)
 	if q.BoundName != "" {
-		sp.Quality(prefix+"bound."+q.BoundName, obs.DirInfo).RecordAt(slot, q.P, q.Bound)
-		sp.Quality(prefix+"headroom."+q.BoundName, obs.DirHigher).RecordAt(slot, q.P, q.Headroom)
+		sp.Quality(prefix+"bound."+q.BoundName).RecordAt(slot, q.P, q.Bound)
+		sp.Quality(prefix+"headroom."+q.BoundName).RecordAt(slot, q.P, q.Headroom)
 	}
 }

@@ -39,9 +39,6 @@ const defaultMemBudget = 256 << 20
 
 // PackOptions tunes PackEdgeListFile.
 type PackOptions struct {
-	// Order must be OrderKeep: degree relabeling needs the whole graph and
-	// therefore the in-RAM path (LoadFile + WritePackedFile).
-	Order Order
 	// MemBudget bounds the edge keys held in memory, with the scratch that
 	// sorting them needs, in bytes; <= 0 selects defaultMemBudget. The
 	// buffer grows toward it as keys arrive, so small inputs take little.
@@ -76,11 +73,9 @@ type PackStats struct {
 // PackEdgeListFile streams the SNAP edge list at inPath into an ESC1
 // packed-CSR file at outPath under a bounded memory budget, so graphs
 // larger than RAM can be packed. The output is byte-identical to loading
-// the list in RAM and calling WritePackedFile with OrderKeep.
+// the list in RAM and calling WritePackedFile with OrderKeep; degree
+// relabeling needs the whole graph, so only that in-RAM path offers it.
 func PackEdgeListFile(inPath, outPath string, opt PackOptions) (*PackStats, error) {
-	if opt.Order != OrderKeep {
-		return nil, fmt.Errorf("graph: external-sort packing supports OrderKeep only; degree ordering needs the in-RAM packer (LoadFile + WritePackedFile)")
-	}
 	if !hostLittleEndian {
 		return nil, fmt.Errorf("graph: external-sort packing writes through a little-endian mapping and is unsupported on big-endian hosts; use the in-RAM packer")
 	}

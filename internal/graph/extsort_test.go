@@ -131,13 +131,6 @@ func TestExternalSortPackEmptyInput(t *testing.T) {
 	}
 }
 
-func TestExternalSortPackRejectsDegreeOrder(t *testing.T) {
-	_, err := PackEdgeListFile("in.txt", "out.esc", PackOptions{Order: OrderDegree})
-	if err == nil || !strings.Contains(err.Error(), "OrderKeep") {
-		t.Fatalf("OrderDegree accepted by the out-of-core packer: %v", err)
-	}
-}
-
 func TestExternalSortPackBadInput(t *testing.T) {
 	dir := t.TempDir()
 	inPath := filepath.Join(dir, "bad.txt")

@@ -15,10 +15,11 @@ import (
 // it accepts satisfies the package invariants. Each input is also parsed in
 // chunks of 1, 2 and 7 bytes as well as the default, at 1 and 3 workers, so
 // that small inputs cross chunk boundaries: the graph, the labels and any
-// error, line number included, must not change. Every line the one-pass
-// plainPair accepts must give the same ids on the general path. An
-// accepted graph written back by WriteEdgeList must read back to the same
-// labelled edge set.
+// error, line number included, must not change. An all-ASCII input must
+// load exactly as the seed oracle loads it (the loader's contract, see
+// snap.go). Every line the one-pass plainPair accepts must give the same
+// ids on the general path. An accepted graph written back by
+// WriteEdgeList must read back to the same labelled edge set.
 func FuzzReadEdgeList(f *testing.F) {
 	f.Add("1 2\n2 3\n")
 	f.Add("# comment\n\n10 20\n20 10\n10 10\n")
@@ -30,6 +31,7 @@ func FuzzReadEdgeList(f *testing.F) {
 	f.Add("-1 -2\n-2 -3\n\n\n-3 -1\n4 x\n")
 	f.Add("123456789012345678 1\n1234567890123456789 2\n99999999999999999999 3\n007\t\t08\n1 2 3\n4 5\r\n6 7")
 	f.Add("5 999999999999999999\n5 9999999999999999999\n9999999999999999999 5\n")
+	f.Add("1\v2\n3\f4\n5\r6\n\v\f\n\t#x\n7 8\v\f")
 	f.Fuzz(func(t *testing.T, data string) {
 		for rest := []byte(data); len(rest) > 0; {
 			u, v, n := plainPair(rest)
@@ -46,6 +48,10 @@ func FuzzReadEdgeList(f *testing.F) {
 			rest = rest[size:]
 		}
 		g, rm, err := readEdgeList(strings.NewReader(data), EdgeListOptions{Workers: 1}, ingestChunkSize)
+		if !strings.ContainsFunc(data, func(r rune) bool { return r >= 0x80 }) {
+			wantG, wantRM, wantErr := seedReadEdgeList(strings.NewReader(data))
+			requireEqualLoads(t, "against the seed oracle", wantG, wantRM, wantErr, g, rm, err)
+		}
 		for _, chunk := range []int{1, 2, 7, ingestChunkSize} {
 			for _, workers := range []int{1, 3} {
 				g2, rm2, err2 := readEdgeList(strings.NewReader(data), EdgeListOptions{Workers: workers}, chunk)

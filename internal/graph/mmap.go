@@ -112,16 +112,6 @@ func openPackedObs(path string, sp *obs.Span) (*PackedGraph, error) {
 	return p, nil
 }
 
-// LoadPackedFile is OpenPacked for callers that keep the graph for the
-// process lifetime: the mapping is intentionally never unmapped.
-func LoadPackedFile(path string) (*Graph, *Remapper, error) {
-	p, err := OpenPacked(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	return p.Graph(), p.Remapper(), nil
-}
-
 // loadPacked builds the graph view over a complete ESC1 image.
 func loadPacked(data []byte, size int64) (*PackedGraph, error) {
 	h, l, err := parsePackHeader(data, size)

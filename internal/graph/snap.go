@@ -40,8 +40,14 @@ import (
 //     the canonical edge list the Graph constructor takes — no Builder
 //     map, no per-node sort.
 //
-// The result is bit-identical to the seed loader for every input, pinned by
-// the oracle test in snap_test.go.
+// The result is bit-identical to the seed loader — graph, labels and
+// error text — for every input whose field separators are ASCII and whose
+// lines are under the seed scanner's 16 MiB limit, pinned by the oracle
+// tests in snap_test.go and FuzzReadEdgeList. Outside that the two differ:
+// the loader splits fields on ASCII whitespace only, where the seed's
+// strings.Fields also split on Unicode spaces (U+00A0, U+2003, U+0085, ...),
+// and it reads lines of any length, where the seed failed with "token too
+// long".
 
 // ingestChunkSize is the target byte size of one parse chunk: big enough
 // that per-chunk overhead vanishes, small enough that one group (a chunk

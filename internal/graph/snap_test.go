@@ -15,8 +15,12 @@ import (
 )
 
 // seedReadEdgeList is the seed-era loader, kept verbatim as the oracle: the
-// rewritten parallel loader must be bit-identical to it on every input —
-// graph, remapper and error messages alike.
+// rewritten parallel loader must be bit-identical to it — graph, remapper
+// and error messages alike — on every input whose separators are ASCII and
+// whose lines fit the scanner's 16 MiB limit. strings.Fields also splits on
+// Unicode spaces, which the loader does not
+// (TestLoaderRejectsUnicodeSeparators), and a longer line fails here with
+// "token too long" where the loader reads it.
 func seedReadEdgeList(r io.Reader) (*Graph, *Remapper, error) {
 	rm := NewRemapper()
 	b := NewBuilder(0)
@@ -135,6 +139,28 @@ func TestSnapLoaderOracleErrors(t *testing.T) {
 		t.Run(fmt.Sprintf("input%d", i), func(t *testing.T) {
 			requireSameLoad(t, in, 2)
 		})
+	}
+}
+
+// TestLoaderRejectsUnicodeSeparators pins where the loader departs from
+// the seed oracle: only ASCII whitespace separates fields, so a Unicode
+// space (no-break space, em space, NEL) that strings.Fields would split on
+// is part of a token instead. The seed loader reads each of these lines as
+// the edge (1, 2).
+func TestLoaderRejectsUnicodeSeparators(t *testing.T) {
+	for _, tc := range []struct{ in, want string }{
+		{"1\u00a02", `graph: line 1: expected two fields, got "1\u00a02"`},
+		{"1\u20032", `graph: line 1: expected two fields, got "1\u20032"`},
+		{"1\u00852", `graph: line 1: expected two fields, got "1\u00852"`},
+		{"1 2\u00a0", `graph: line 1: bad node id "2\u00a0": strconv.ParseInt: parsing "2\u00a0": invalid syntax`},
+	} {
+		_, _, err := ReadEdgeList(strings.NewReader(tc.in))
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("ReadEdgeList(%q) error = %v, want %s", tc.in, err, tc.want)
+		}
+		if g, _, err := seedReadEdgeList(strings.NewReader(tc.in)); err != nil || g.NumEdges() != 1 {
+			t.Errorf("seed loader on %q: %v, want one edge", tc.in, err)
+		}
 	}
 }
 

@@ -127,10 +127,6 @@ func (c *CLI) Start(command string) (*Session, error) {
 	}
 	if c.MetricsPath != "" || c.DebugAddr != "" || c.TraceEventsPath != "" {
 		s.rec = New(command)
-		// par reports worker-slot identity into the flight recorder for the
-		// session's duration; Close restores whatever was installed before.
-		s.prevSlotObs = par.SetSlotObserver(s.rec.Flight())
-		s.slotObsSet = true
 	}
 	if c.DebugAddr != "" {
 		d, err := startDebugServer(c.DebugAddr, s.rec)
@@ -140,6 +136,14 @@ func (c *CLI) Start(command string) (*Session, error) {
 		}
 		s.debug = d
 		s.Verbosef("debug plane listening on %s", d.Addr())
+	}
+	if s.rec != nil {
+		// par reports worker-slot identity into the flight recorder for the
+		// session's duration; Close restores whatever was installed before.
+		// Installed after the last step that can fail, so a failed Start
+		// leaves par's observer as it found it.
+		s.prevSlotObs = par.SetSlotObserver(s.rec.Flight())
+		s.slotObsSet = true
 	}
 	if c.SampleInterval > 0 {
 		s.smp = startSampler(c.SampleInterval, s.startWall, s.rec.Flight().Marker(EvSamplerTick, "runtime"))

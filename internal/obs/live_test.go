@@ -10,12 +10,15 @@ import (
 	"encoding/json"
 	"flag"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"edgeshed/internal/par"
 )
 
 func TestSanitizeMetricName(t *testing.T) {
@@ -276,6 +279,28 @@ func TestBusyDebugAddrFailsStart(t *testing.T) {
 	if s2, err := second.Start("livetest"); err == nil {
 		s2.Close()
 		t.Fatal("second bind of one address succeeded")
+	}
+}
+
+// TestFailedStartKeepsSlotObserver pins that a Start failing to bind
+// -debug-addr leaves par with the slot observer it found, not the flight
+// recorder of a session that never started.
+func TestFailedStartKeepsSlotObserver(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	found := New("found").Flight()
+	prev := par.SetSlotObserver(found)
+	defer par.SetSlotObserver(prev)
+	cli := &CLI{DebugAddr: l.Addr().String(), MetricsPath: filepath.Join(t.TempDir(), "run.json")}
+	if sess, err := cli.Start("livetest"); err == nil {
+		sess.Close()
+		t.Fatal("Start bound an address already in use")
+	}
+	if got := par.SetSlotObserver(found); got != found {
+		t.Errorf("after a failed Start par observes %T %p, want the observer it found (%p)", got, got, found)
 	}
 }
 

@@ -35,6 +35,10 @@
 //     per-worker rings, the raw material of the trace-event export and the
 //     panic dump (DESIGN.md §11).
 //
+// Counters, histograms and probes are registered by name alone; what a
+// name means — its kind, unit, better direction and help text — is
+// declared once in metric.go, where every surface reads it.
+//
 // A Recorder owns one run's root span and metrics, and snapshots into a
 // Manifest — the diffable JSON document every cmd binary can emit via its
 // -metrics flag (see CLI).

@@ -29,7 +29,7 @@ func TestNilReceiversNoOp(t *testing.T) {
 	if r.CounterValues() != nil || r.HistogramValues() != nil || r.SpanTree() != nil {
 		t.Error("nil Recorder snapshots != nil")
 	}
-	if r.Quality("x", DirLower) != nil {
+	if r.Quality("x") != nil {
 		t.Error("nil Recorder.Quality() != nil")
 	}
 	if r.QualityValues() != nil || r.QualityPoints() != nil {
@@ -51,7 +51,7 @@ func TestNilReceiversNoOp(t *testing.T) {
 	if sp.Marker(EvBatch, "x") != nil {
 		t.Error("nil Span.Marker() != nil")
 	}
-	if sp.Quality("x", DirHigher) != nil {
+	if sp.Quality("x") != nil {
 		t.Error("nil Span.Quality() != nil")
 	}
 
@@ -110,7 +110,7 @@ func disabledKernelPath(parent *Span) {
 	if d, tot := sp.Progress(); d != 0 || tot != 0 {
 		panic("nil span reported progress")
 	}
-	q := sp.Quality("delta", DirLower)
+	q := sp.Quality("delta")
 	q.RecordAt(0, 0.5, 1.5)
 	q.Record(0.5, 2.5)
 	if _, ok := q.Value(); ok {

@@ -10,10 +10,10 @@ import (
 // The quality plane is the fourth obs tier (DESIGN.md §12): where spans,
 // counters and the flight recorder make a run legible in *time*, quality
 // probes make it legible in *quality* — the paper's actual claims. A Probe
-// is a named, direction-tagged gauge of an algorithm-quality signal (the
-// CRR Phase 2 objective Δ, theorem-bound headroom, BM2 matching weight,
-// per-epoch stream swap rates, tasks.Suite scores) whose recordings land on
-// three surfaces at once:
+// is a named gauge of an algorithm-quality signal (the CRR Phase 2
+// objective Δ, theorem-bound headroom, BM2 matching weight, per-epoch
+// stream swap rates, tasks.Suite scores), whose good direction is declared
+// in metric.go, and whose recordings land on three surfaces at once:
 //
 //   - the latest value as a float gauge family on /metrics
 //     (edgeshed_quality_*), so a live scrape sees quality converging;
@@ -32,33 +32,6 @@ import (
 // algorithm state, so kernel outputs stay bit-identical with quality
 // probes on or off (pinned by the obs on/off determinism regressions).
 
-// QualityDir tags which direction of a quality metric is good, so trend
-// consumers (cmd/obsreport's gate) know what counts as a regression.
-type QualityDir uint8
-
-const (
-	// DirInfo marks a tracked-but-ungated metric (edge counts, bounds,
-	// rates that shift legitimately with inputs). The zero value.
-	DirInfo QualityDir = iota
-	// DirLower marks a metric where lower is better (Δ, degree errors).
-	DirLower
-	// DirHigher marks a metric where higher is better (bound headroom,
-	// task utilities, matching weight).
-	DirHigher
-)
-
-// String returns the direction's manifest spelling ("info", "lower",
-// "higher"), the vocabulary of QualityPoint.Better.
-func (d QualityDir) String() string {
-	switch d {
-	case DirLower:
-		return "lower"
-	case DirHigher:
-		return "higher"
-	}
-	return "info"
-}
-
 // QualityPoint is one recorded quality observation, as serialized in the
 // manifest's quality_timeline array.
 type QualityPoint struct {
@@ -71,8 +44,8 @@ type QualityPoint struct {
 	Ratio float64 `json:"ratio,omitempty"`
 	// Value is the observed quality value.
 	Value float64 `json:"value"`
-	// Better is the good direction: "lower", "higher" or "info" (see
-	// QualityDir); consumers gate only lower/higher metrics.
+	// Better is the metric's declared good direction: Lower, Higher or
+	// Info (see metric.go); consumers gate only lower/higher metrics.
 	Better string `json:"better,omitempty"`
 }
 
@@ -83,19 +56,19 @@ type QualityPoint struct {
 // only. A nil Probe is the disabled state: Record no-ops without
 // allocating.
 type Probe struct {
-	rec  *Recorder
-	name string
-	dir  QualityDir
-	mk   *Marker
+	rec    *Recorder
+	name   string
+	better string
+	mk     *Marker
 
 	latest   atomic.Uint64 // math.Float64bits of the last recorded value
 	recorded atomic.Bool
 }
 
-// Quality returns the named probe, creating it on first use with the given
-// direction (the first registration's direction wins). Nil-safe: a nil
+// Quality returns the named probe, creating it on first use with the good
+// direction its declaration gives (Info when undeclared). Nil-safe: a nil
 // Recorder returns a nil Probe.
-func (r *Recorder) Quality(name string, dir QualityDir) *Probe {
+func (r *Recorder) Quality(name string) *Probe {
 	if r == nil {
 		return nil
 	}
@@ -103,7 +76,7 @@ func (r *Recorder) Quality(name string, dir QualityDir) *Probe {
 	defer r.mu.Unlock()
 	p, ok := r.probes[name]
 	if !ok {
-		p = &Probe{rec: r, name: name, dir: dir, mk: r.flight.Marker(EvQuality, name)}
+		p = &Probe{rec: r, name: name, better: Describe(name).Better, mk: r.flight.Marker(EvQuality, name)}
 		r.probes[name] = p
 	}
 	return p
@@ -111,11 +84,11 @@ func (r *Recorder) Quality(name string, dir QualityDir) *Probe {
 
 // Quality returns the named probe of the span's Recorder. Nil-safe: a nil
 // Span returns a nil Probe.
-func (s *Span) Quality(name string, dir QualityDir) *Probe {
+func (s *Span) Quality(name string) *Probe {
 	if s == nil {
 		return nil
 	}
-	return s.rec.Quality(name, dir)
+	return s.rec.Quality(name)
 }
 
 // Record records one observation of the metric at the given preservation
@@ -141,7 +114,7 @@ func (p *Probe) RecordAt(slot int, ratio, v float64) {
 		Metric:   p.name,
 		Ratio:    ratio,
 		Value:    v,
-		Better:   p.dir.String(),
+		Better:   p.better,
 	}
 	p.rec.qmu.Lock()
 	p.rec.quality = append(p.rec.quality, pt)

@@ -15,9 +15,9 @@ import (
 // direction spelling, timeline accumulation, and the zero-ratio omission.
 func TestQualityProbeRecord(t *testing.T) {
 	r := New("test")
-	d := r.Quality("crr.delta", DirLower)
-	h := r.Root().Quality("crr.headroom.theorem1", DirHigher)
-	i := r.Quality("crr.kept_edges", DirInfo)
+	d := r.Quality("crr.delta")
+	h := r.Root().Quality("crr.headroom.theorem1")
+	i := r.Quality("crr.kept_edges")
 
 	if _, ok := d.Value(); ok {
 		t.Error("unrecorded probe reports a value")
@@ -73,18 +73,19 @@ func TestQualityProbeRecord(t *testing.T) {
 }
 
 // TestQualityProbeSameNameShared pins that repeated lookups of one metric
-// return the same probe, so recordings merge, and that the first
-// registration's direction wins.
+// return the same probe, so recordings merge, that the probe's direction
+// is its declaration's, and that an undeclared name records as info.
 func TestQualityProbeSameNameShared(t *testing.T) {
 	r := New("test")
-	a := r.Quality("m", DirLower)
-	b := r.Quality("m", DirHigher)
+	a := r.Quality("crr.delta")
+	b := r.Quality("crr.delta")
 	if a != b {
 		t.Fatal("same-name probes are distinct instances")
 	}
 	b.Record(0, 7)
-	if pts := r.QualityPoints(); len(pts) != 1 || pts[0].Better != "lower" {
-		t.Errorf("points = %+v, want one 'lower' point", pts)
+	r.Quality("m").Record(0, 1)
+	if pts := r.QualityPoints(); len(pts) != 2 || pts[0].Better != "lower" || pts[1].Better != "info" {
+		t.Errorf("points = %+v, want one 'lower' point, then one 'info' point", pts)
 	}
 }
 
@@ -93,7 +94,7 @@ func TestQualityProbeSameNameShared(t *testing.T) {
 // value.
 func TestQualityFlightEvents(t *testing.T) {
 	r := New("test")
-	r.Quality("bm2.matching_weight", DirHigher).RecordAt(2, 0.3, 1.5)
+	r.Quality("bm2.matching_weight").RecordAt(2, 0.3, 1.5)
 	var got []Event
 	for _, e := range r.Flight().Events() {
 		if e.Kind == "quality" {
@@ -115,7 +116,7 @@ func TestQualityConcurrentRecords(t *testing.T) {
 	r := New("test")
 	const workers, per = 8, 50
 	par.Run(workers, func(w int) {
-		p := r.Quality("m", DirLower)
+		p := r.Quality("m")
 		for i := 0; i < per; i++ {
 			p.RecordAt(w, 0.5, float64(i))
 		}
@@ -123,7 +124,7 @@ func TestQualityConcurrentRecords(t *testing.T) {
 	if pts := r.QualityPoints(); len(pts) != workers*per {
 		t.Fatalf("timeline length = %d, want %d", len(pts), workers*per)
 	}
-	if _, ok := r.Quality("m", DirLower).Value(); !ok {
+	if _, ok := r.Quality("m").Value(); !ok {
 		t.Fatal("no latest value after concurrent records")
 	}
 }
@@ -132,7 +133,7 @@ func TestQualityConcurrentRecords(t *testing.T) {
 // as edgeshed_quality_* families with HELP and TYPE lines.
 func TestQualityMetricsExposition(t *testing.T) {
 	r := New("test")
-	r.Quality("crr.headroom.theorem1", DirHigher).Record(0.5, 2.5)
+	r.Quality("crr.headroom.theorem1").Record(0.5, 2.5)
 	srv := httptest.NewServer(NewDebugHandler(r))
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL + "/metrics")
@@ -190,15 +191,6 @@ func TestDirtyCommit(t *testing.T) {
 	var unrecorded *Env
 	if !dirty.Dirty() || clean.Dirty() || unrecorded.Dirty() {
 		t.Error("Env.Dirty misclassifies")
-	}
-}
-
-// TestQualityDirString pins the manifest spelling of each direction.
-func TestQualityDirString(t *testing.T) {
-	for dir, want := range map[QualityDir]string{DirInfo: "info", DirLower: "lower", DirHigher: "higher", QualityDir(99): "info"} {
-		if got := dir.String(); got != want {
-			t.Errorf("QualityDir(%d).String() = %q, want %q", dir, got, want)
-		}
 	}
 }
 

@@ -97,78 +97,6 @@ func progressSnapshot(rec *Recorder) *ProgressSnapshot {
 	}
 }
 
-// metricHelp maps internal metric names (counter, histogram and quality
-// probe registry keys) to their # HELP text. Metrics not listed fall back
-// to a generic line; keeping the registry here — not at every call site —
-// means one place to scan for the exposition vocabulary. The metric-name
-// lint (metriclint_test.go) fails on any literal name a non-test call site
-// registers without an entry here.
-var metricHelp = map[string]string{
-	"betweenness.mapped_bytes":   "Betweenness sigma/delta row and crossing-mask bytes mapped outside the Go heap.",
-	"betweenness.sources_done":   "Brandes/MS-BFS betweenness source vertices completed.",
-	"bm2.avg_dis":                "BM2 achieved average degree discrepancy per node.",
-	"bm2.bound.theorem2":         "Theorem 2 bound on BM2 average discrepancy per node.",
-	"bm2.delta":                  "BM2 final objective Δ (total degree discrepancy).",
-	"bm2.gain_micros":            "Per-pop BM2 Phase 2 gain, in micro-units.",
-	"bm2.headroom.theorem2":      "Theorem 2 bound minus achieved BM2 discrepancy (higher is better).",
-	"bm2.kept_edges":             "Edges kept by the BM2 reduction.",
-	"bm2.kept_fraction":          "Fraction of input edges kept by the BM2 reduction.",
-	"bm2.matching_weight":        "Cumulative BM2 Phase 2 matching weight popped so far.",
-	"bfs.sources_done":           "Distance-profile BFS source vertices completed.",
-	"brandes.edge_folds":         "Edge-dependency fold operations in batched Brandes.",
-	"claims.checked":             "Paper claims checked.",
-	"claims.failed":              "Paper claims that failed verification.",
-	"closeness.sources_done":     "Closeness centrality source vertices completed.",
-	"crr.accept_rate":            "CRR Phase 2 swap acceptance rate over the last flush window.",
-	"crr.avg_dis":                "CRR achieved average degree discrepancy per node.",
-	"crr.bound.theorem1":         "Theorem 1 bound on CRR average discrepancy per node.",
-	"crr.deg_err_linf":           "Maximum per-node degree discrepancy (L∞) at the last flush.",
-	"crr.delta":                  "CRR Phase 2 objective Δ (total degree discrepancy), live trajectory.",
-	"crr.delta_abs_micros":       "Absolute CRR deltaChange per rewiring attempt, in micro-units.",
-	"crr.headroom.theorem1":      "Theorem 1 bound minus achieved CRR discrepancy (higher is better).",
-	"crr.kept_edges":             "Edges kept by the CRR reduction.",
-	"crr.kept_fraction":          "Fraction of input edges kept by the CRR reduction.",
-	"crr.rewire.accepted":        "CRR Phase 2 rewiring attempts accepted.",
-	"crr.rewire.attempts":        "CRR Phase 2 rewiring attempts examined.",
-	"crr.sweep.ratio_ns":         "Wall time per CRR sweep ratio, in nanoseconds.",
-	"flatpq.pops":                "Flat priority-queue pop operations.",
-	"flatpq.pushes":              "Flat priority-queue push operations.",
-	"flatpq.removes":             "Flat priority-queue remove operations.",
-	"flatpq.updates":             "Flat priority-queue update operations.",
-	"ingest.bytes":               "Input bytes ingested.",
-	"ingest.edges":               "Edges ingested.",
-	"ingest.lines":               "Input lines ingested.",
-	"msbfs.batch_ns":             "Wall time per MS-BFS source batch, in nanoseconds.",
-	"msbfs.batch_occupancy":      "Source bits carried per MS-BFS batch.",
-	"msbfs.batches_done":         "MS-BFS source batches traversed.",
-	"msbfs.bottomup_levels":      "MS-BFS levels expanded bottom-up.",
-	"msbfs.direction_switches":   "MS-BFS direction-optimizing switches.",
-	"msbfs.level_width":          "Nodes first reached per MS-BFS level.",
-	"msbfs.topdown_levels":       "MS-BFS levels expanded top-down.",
-	"msbfs.words_scanned":        "MS-BFS adjacency slots scanned.",
-	"pack.bytes.out":             "Packed CSR bytes written.",
-	"pack.spill.chunks":          "External-sort spill chunks written.",
-	"pack.spill.keys":            "External-sort keys spilled.",
-	"pagerank.iterations":        "PageRank power iterations.",
-	"run_info":                   "Constant 1, labeled with the observed command.",
-	"stream.deletes":             "Streaming edge deletions applied.",
-	"stream.epoch.delta":         "Stream shedder objective Δ at the last insert epoch.",
-	"stream.epoch.kept_fraction": "Fraction of seen edges kept at the last insert epoch.",
-	"stream.epoch.swap_rate":     "Reservoir swaps accepted per insert over the last epoch.",
-	"stream.inserts":             "Streaming edge insertions applied.",
-	"stream.novel_kept":          "Streaming novel edges kept.",
-	"stream.swaps_accepted":      "Streaming reservoir swaps accepted.",
-}
-
-// helpFor returns the HELP text for an internal metric name, with a
-// generic fallback so every family always carries a HELP line.
-func helpFor(name string) string {
-	if h, ok := metricHelp[name]; ok {
-		return h
-	}
-	return "edgeshed metric " + name + "."
-}
-
 // uniqueMetricNames maps internal names to unique exposition family names:
 // prefix + sanitizeMetricName(name) + suffix, with "_2", "_3", … appended
 // when sanitization collapses distinct internal names (e.g. "a.b" vs
@@ -196,38 +124,34 @@ func uniqueMetricNames(names []string, prefix, suffix string) map[string]string 
 // counter as an edgeshed_*_total counter, every quality probe as an
 // edgeshed_quality_* gauge, every histogram as an edgeshed_* histogram
 // family (cumulative power-of-two buckets), and the curated runtime/metrics
-// set as go_* gauges — each family with # HELP and # TYPE lines. Families
+// set as go_* gauges — each family with # HELP and # TYPE lines, the
+// edgeshed_* HELP text from the metric's declaration (metric.go). Families
 // are emitted in sorted name order so consecutive scrapes diff cleanly.
 func writeMetrics(w http.ResponseWriter, rec *Recorder) {
 	if rec != nil {
-		fmt.Fprintf(w, "# HELP edgeshed_run_info %s\n", helpFor("run_info"))
+		fmt.Fprintf(w, "# HELP edgeshed_run_info %s\n", Describe("run_info").Help)
 		fmt.Fprintf(w, "# TYPE edgeshed_run_info gauge\nedgeshed_run_info{command=%q} 1\n", rec.root.name)
 		counters := rec.CounterValues()
 		counterFams := uniqueMetricNames(sortedKeys(counters), "edgeshed_", "_total")
 		for _, name := range sortedKeys(counters) {
 			m := counterFams[name]
-			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", m, helpFor(name), m, m, counters[name])
+			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", m, Describe(name).Help, m, m, counters[name])
 		}
 		quals := rec.QualityValues()
-		qualFams := uniqueMetricNames(sortedFloatKeys(quals), "edgeshed_quality_", "")
-		for _, name := range sortedFloatKeys(quals) {
+		qualFams := uniqueMetricNames(sortedKeys(quals), "edgeshed_quality_", "")
+		for _, name := range sortedKeys(quals) {
 			m := qualFams[name]
-			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %v\n", m, helpFor(name), m, m, quals[name])
+			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %v\n", m, Describe(name).Help, m, m, quals[name])
 		}
 		hists := rec.HistogramValues()
-		histNames := make([]string, 0, len(hists))
-		for name := range hists {
-			histNames = append(histNames, name)
-		}
-		sort.Strings(histNames)
-		histFams := uniqueMetricNames(histNames, "edgeshed_", "")
-		for _, name := range histNames {
+		histFams := uniqueMetricNames(sortedKeys(hists), "edgeshed_", "")
+		for _, name := range sortedKeys(hists) {
 			writeHistogram(w, histFams[name], name, hists[name])
 		}
 	}
 	rm := captureRuntimeMetrics()
-	rmFams := uniqueMetricNames(sortedFloatKeys(rm), "go_", "")
-	for _, name := range sortedFloatKeys(rm) {
+	rmFams := uniqueMetricNames(sortedKeys(rm), "go_", "")
+	for _, name := range sortedKeys(rm) {
 		m := rmFams[name]
 		fmt.Fprintf(w, "# HELP %s runtime/metrics %s\n# TYPE %s gauge\n%s %v\n", m, name, m, m, rm[name])
 	}
@@ -240,7 +164,7 @@ func writeHistogram(w http.ResponseWriter, fam, name string, snap *HistogramSnap
 	if snap == nil {
 		return
 	}
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", fam, helpFor(name), fam)
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", fam, Describe(name).Help, fam)
 	var cum int64
 	for b, n := range snap.Buckets {
 		cum += n
@@ -277,16 +201,9 @@ func sanitizeMetricName(name string) string {
 	return strings.TrimSuffix(b.String(), "_")
 }
 
-func sortedKeys(m map[string]int64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func sortedFloatKeys(m map[string]float64) []string {
+// sortedKeys returns m's keys in sorted order, so families and tracks
+// render deterministically.
+func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)

@@ -149,12 +149,7 @@ func WriteTraceEvents(w io.Writer, m *Manifest) error {
 
 	// Final counter values, one C sample each at the end of the timeline so
 	// the run's totals are readable off the counter tracks.
-	counterNames := make([]string, 0, len(m.Counters))
-	for name := range m.Counters {
-		counterNames = append(counterNames, name)
-	}
-	sort.Strings(counterNames)
-	for _, name := range counterNames {
+	for _, name := range sortedKeys(m.Counters) {
 		evs = append(evs, traceEvent{
 			Name: name, Ph: "C", TS: usec(endNs), PID: 1, TID: 0,
 			Args: map[string]any{"value": m.Counters[name]},

@@ -125,9 +125,9 @@ func NewShedder(opt Options) (*Shedder, error) {
 		s.novelCtr = opt.Obs.Counter("stream.novel_kept")
 		s.swapCtr = opt.Obs.Counter("stream.swaps_accepted")
 		s.delCtr = opt.Obs.Counter("stream.deletes")
-		s.qSwap = opt.Obs.Quality("stream.epoch.swap_rate", obs.DirInfo)
-		s.qDelta = opt.Obs.Quality("stream.epoch.delta", obs.DirLower)
-		s.qKept = opt.Obs.Quality("stream.epoch.kept_fraction", obs.DirInfo)
+		s.qSwap = opt.Obs.Quality("stream.epoch.swap_rate")
+		s.qDelta = opt.Obs.Quality("stream.epoch.delta")
+		s.qKept = opt.Obs.Quality("stream.epoch.kept_fraction")
 	}
 	return s, nil
 }

@@ -71,14 +71,10 @@ func (s Suite) Evaluate(orig, red *graph.Graph) []Measurement {
 		m := f(tsp)
 		tsp.End()
 		if sp.Enabled() {
-			// Each row lands on the quality timeline as "suite.<task>" with
-			// the measurement's own good direction, so cmd/obsreport can
-			// trend and gate task fidelity across runs.
-			dir := obs.DirLower
-			if m.HigherIsBetter {
-				dir = obs.DirHigher
-			}
-			sp.Quality("suite."+m.Task, dir).Record(0, m.Value)
+			// Each row lands on the quality timeline as "suite.<task>",
+			// declared with the row's good direction in obs, so
+			// cmd/obsreport can trend and gate task fidelity across runs.
+			sp.Quality("suite."+m.Task).Record(0, m.Value)
 		}
 		sp.Done(1)
 		return m
