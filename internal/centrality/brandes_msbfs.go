@@ -10,7 +10,7 @@ package centrality
 // One batch runs at a time, with every worker inside it: the traversal is
 // serial, and each level of both sweeps, then the folds, run as team
 // regions split into static blocks. So one traversal, one pair of rows and
-// one crossing mask exist whatever the worker count.
+// one crossing record exist whatever the worker count.
 //
 // Determinism. Sigma values are integer-valued floats (path counts), exact
 // under addition in any order. Delta values are genuinely fractional, so
@@ -37,13 +37,13 @@ package centrality
 // Edge dependencies need one extra care the node fold does not: a
 // dependency crosses a specific DAG edge, and which direction an undirected
 // edge is traversed differs per source. Folding contributions as the
-// backward sweep meets them would order each edge's terms by level and by
-// endpoint — an order that depends on how sources are grouped into
-// batches. Instead the backward sweep only RECORDS each slot's crossing
-// bits (slotMask), and a separate slot-outer fold walks the CSR in
-// canonical order — owner node ascending, each edge at its smaller
-// endpoint, crossing bits ascending — so every edge receives its per-source
-// terms in shard-source order at any batch width. See DESIGN.md §10.4.
+// sweeps meet them would order each edge's terms by level and by endpoint
+// — an order that depends on how sources are grouped into batches. Instead
+// the forward pull only RECORDS each edge's crossing bits, two words per
+// canonical edge id (cross), and a separate fold walks the edge ids
+// ascending, crossing bits ascending, so every edge receives its
+// per-source terms in shard-source order at any batch width. See
+// DESIGN.md §10.4.
 //
 // The canonical order differs from the seed per-source queue order, so both
 // kernels are pinned against their own canonical serial oracle (bit-exact)
@@ -69,7 +69,7 @@ import (
 // sources sharing one MS-BFS batch have correlated distance profiles: by
 // the triangle inequality a node's levels across a batch spread at most the
 // batch's diameter, which means fewer level memberships per node, fewer
-// adjacency rescans in the sigma/delta sweeps, and denser crossing masks
+// adjacency rescans in the sigma/delta sweeps, and denser crossing words
 // per scan. The rank is a pure function of the graph — no Workers, Batch or
 // Samples input — so the ordering never threatens the determinism
 // discipline; it only decides which sources travel together.
@@ -142,12 +142,13 @@ const (
 // count. Rows are cleared lazily: only nodes the traversal visited.
 type brandes struct {
 	c       *graph.CSR
+	edges   []graph.Edge
 	tr      *msbfs.Traversal
 	team    *par.Team
 	workers int
 	width   int
 
-	// mem is the mapping that holds sigma, delta and slotMask (see
+	// mem is the mapping that holds sigma, delta and cross (see
 	// newScratch), unmapped when the call returns; nil when they are on
 	// the heap.
 	mem          []byte
@@ -168,13 +169,15 @@ type brandes struct {
 	// srcMask marks each batch source's own row bit, excluded from the
 	// node fold (a source accumulates no dependency on itself).
 	srcMask []uint64
-	// slotMask is the edge paths' crossing record, one word per CSR slot:
-	// bit s is set on slot k (owned by node u, targeting v) when source s's
-	// shortest paths cross the edge from v into u, i.e. u is the deeper
-	// endpoint for source s. The forward sweep writes it, since its pull
-	// meets exactly these crossings, each on the pulling node's own slot.
-	// nil on the node-only path, and cleared back to zero by the edge fold.
-	slotMask []uint64
+	// cross is the edge paths' crossing record, two words per canonical
+	// edge id e = {U, V}, U < V: bit s of word 2e is set when source s's
+	// shortest paths cross the edge from V into U (U is the deeper
+	// endpoint for source s), and bit s of word 2e+1 when they cross from
+	// U into V. The forward pull writes it, since it meets exactly these
+	// crossings, each as the deeper endpoint pulling; that endpoint is a
+	// word's only writer, and a node pulls once per region. nil on the
+	// node-only path, and cleared back to zero by the edge fold.
+	cross []uint64
 
 	// The accumulators: acc holds the merged shards, part the partial of
 	// the shard still open across a batch boundary (nil when no shard
@@ -185,9 +188,6 @@ type brandes struct {
 	// in preferential-attachment graphs, or a worker the machine
 	// preempts, do not hold a region up.
 	blocks int
-	// edgeCut cuts the edge fold: block i folds the edges owned by nodes
-	// [edgeCut[i], edgeCut[i+1]), cut at canonical edge-id quantiles.
-	edgeCut []int
 
 	// The current batch: nb sources, full the mask of all nb bits, its
 	// shard ranges; cont is set when ranges[0]'s shard began in an earlier
@@ -270,12 +270,13 @@ func msbfsBetweenness(g *graph.Graph, opt Options, wantNodes, wantEdges bool) ([
 func newBrandes(g *graph.Graph, workers, width int, wantNodes, wantEdges, spans, timed bool) *brandes {
 	c, edges := g.CSR(), g.Edges()
 	n, m := c.NumNodes(), len(edges)
-	slots := 0
+	crossWords := 0
 	if wantEdges {
-		slots = c.NumSlots()
+		crossWords = 2 * m
 	}
 	b := &brandes{
 		c:        c,
+		edges:    edges,
 		tr:       msbfs.New(c, width, true),
 		team:     par.NewTeam(workers),
 		workers:  workers,
@@ -287,7 +288,7 @@ func newBrandes(g *graph.Graph, workers, width int, wantNodes, wantEdges, spans,
 		edgePart: zeros(wantEdges && spans, m),
 		folds:    make([]int64, workers*pad),
 	}
-	b.sigma, b.delta, b.slotMask, b.mem = newScratch(n*width, slots)
+	b.sigma, b.delta, b.cross, b.mem = newScratch(n*width, crossWords)
 	for i := range b.lvl {
 		b.lvl[i] = make([]uint64, n)
 	}
@@ -299,15 +300,6 @@ func newBrandes(g *graph.Graph, workers, width int, wantNodes, wantEdges, spans,
 		b.coef = b.sigma
 	}
 	b.blocks = max(1, min(workers*blocksPerWorker, c.NumSlots()/minBlockSlots))
-	if wantEdges {
-		b.edgeCut = make([]int, b.blocks+1)
-		for i := 1; i <= b.blocks; i++ {
-			b.edgeCut[i] = n
-			if i < b.blocks && m > 0 {
-				b.edgeCut[i] = int(edges[m*i/b.blocks].U)
-			}
-		}
-	}
 	if timed {
 		b.busy = make([]int64, workers*pad)
 	}
@@ -316,25 +308,25 @@ func newBrandes(g *graph.Graph, workers, width int, wantNodes, wantEdges, spans,
 }
 
 // newScratch allocates the σ and δ/coefficient rows, rows floats each, and
-// a crossing mask of slots words (nil for none), zeroed. Together they are
-// the bulk of a call's memory, so they come from one mapping of their own
-// where mapScratch gives one (mem) and leave the process's resident memory
-// when close unmaps it, instead of lingering as garbage until the next
-// collection. Otherwise they are three heap slices and mem is nil.
-func newScratch(rows, slots int) (sigma, delta []float64, slotMask []uint64, mem []byte) {
-	mem = mapScratch(8 * (2*rows + slots))
+// a crossing record of words words (nil for none), zeroed. Together they
+// are the bulk of a call's memory, so they come from one mapping of their
+// own where mapScratch gives one (mem) and leave the process's resident
+// memory when close unmaps it, instead of lingering as garbage until the
+// next collection. Otherwise they are three heap slices and mem is nil.
+func newScratch(rows, words int) (sigma, delta []float64, cross []uint64, mem []byte) {
+	mem = mapScratch(8 * (2*rows + words))
 	if mem == nil {
-		if slots > 0 {
-			slotMask = make([]uint64, slots)
+		if words > 0 {
+			cross = make([]uint64, words)
 		}
-		return make([]float64, rows), make([]float64, rows), slotMask, nil
+		return make([]float64, rows), make([]float64, rows), cross, nil
 	}
 	base := unsafe.Pointer(unsafe.SliceData(mem))
 	f := unsafe.Slice((*float64)(base), 2*rows)
-	if slots > 0 {
-		slotMask = unsafe.Slice((*uint64)(unsafe.Add(base, 16*rows)), slots)
+	if words > 0 {
+		cross = unsafe.Slice((*uint64)(unsafe.Add(base, 16*rows)), words)
 	}
-	return f[:rows:rows], f[rows:], slotMask, mem
+	return f[:rows:rows], f[rows:], cross, mem
 }
 
 // close stops the team, then unmaps the scratch: no worker can touch a
@@ -343,7 +335,7 @@ func newScratch(rows, slots int) (sigma, delta []float64, slotMask []uint64, mem
 func (b *brandes) close() {
 	b.team.Close()
 	mem := b.mem
-	b.sigma, b.delta, b.coef, b.slotMask, b.mem = nil, nil, nil, nil, nil
+	b.sigma, b.delta, b.coef, b.cross, b.mem = nil, nil, nil, nil, nil
 	unmapScratch(mem)
 }
 
@@ -492,12 +484,13 @@ func (b *brandes) work(w, blk int) {
 // every bit's contributions arrive in ascending CSR order. Per-bit sums are
 // independent, so when every batch bit crosses the bit-scan loop collapses
 // to a straight row walk with identical bits. It also records the level's
-// words for the next region and, on the edge paths, each crossing on the
-// pulling node's own slot.
+// words for the next region and, on the edge paths, each crossing in the
+// edge's word for the pulling node's side: 2e when it is the smaller
+// endpoint, 2e+1 when it is the larger.
 func (b *brandes) forward(blk int) {
 	d, W, nb, full := b.d, b.width, b.nb, b.full
-	offsets, targets := b.c.Offsets, b.c.Targets
-	sigma, slotMask := b.sigma, b.slotMask
+	offsets, targets, edgeID := b.c.Offsets, b.c.Targets, b.c.EdgeID
+	sigma, cross := b.sigma, b.cross
 	prev, cur := b.lvl[(d-1)%3], b.lvl[d%3]
 	nodes, words := b.tr.Level(d)
 	lo, hi := b.levelBlock(d, blk)
@@ -511,8 +504,12 @@ func (b *brandes) forward(blk int) {
 			if m == 0 {
 				continue
 			}
-			if slotMask != nil {
-				slotMask[k0+k] |= m
+			if cross != nil {
+				w := 2 * int(edgeID[k0+k])
+				if nbr < u {
+					w++
+				}
+				cross[w] |= m
 			}
 			nrow := sigma[int(nbr)*W : int(nbr)*W+W]
 			if m == full {
@@ -660,114 +657,87 @@ func (b *brandes) foldNodes(blk int) {
 	}
 }
 
-// foldEdges is the edge fold over block blk of the owner nodes. It
-// walks the CSR in canonical order — owner node ascending, each edge at
-// its smaller endpoint — and adds, crossing bits ascending,
-// sigma(pred)·coefficient(succ) into the edge's canonical id. The union of
-// the slot's mask and its mate's covers every source whose dependency
-// crossed the edge in either direction, each exactly once, so per edge the
-// terms arrive in shard-source order at any batch width. Each range's bits
-// fold into that range's shard partial, merged as foldNodes merges. Both
-// slot words are cleared as the edge is folded. It returns the number of
-// terms folded.
+// foldEdges is the edge fold over block blk of the canonical edge ids. It
+// walks the ids ascending, reads each edge's endpoints and both crossing
+// words in order, and adds, crossing bits ascending,
+// sigma(pred)·coefficient(succ) into the edge's accumulator. The two words
+// cover every source whose dependency crossed the edge in either
+// direction, each exactly once, so per edge the terms arrive in
+// shard-source order at any batch width. Each range's bits fold into that
+// range's shard partial, merged as foldNodes merges. Both words are
+// cleared as the edge is folded. It returns the number of terms folded.
 func (b *brandes) foldEdges(blk int) int64 {
 	W := b.width
-	c := b.c
-	offsets, targets, edgeID, mate := c.Offsets, c.Targets, c.EdgeID, c.Mate
-	sigma, coef, slotMask := b.sigma, b.delta, b.slotMask
+	edges := b.edges
+	sigma, coef, cross := b.sigma, b.delta, b.cross
 	acc, part := b.edgeAcc, b.edgePart
 	ranges := b.ranges
 	cont, open := b.cont, b.open
 	closing := cont && ranges[0].closes
-	visit := b.tr.Visit()
 	folds := int64(0)
-	for u := b.edgeCut[blk]; u < b.edgeCut[blk+1]; u++ {
-		vw := visit[u]
-		lo, hi := offsets[u], offsets[u+1]
-		if vw == 0 {
+	lo, hi := par.Block(len(acc), b.nblk, blk)
+	for e := lo; e < hi; e++ {
+		mu := cross[2*e]   // bits where U is the successor (V → U crossing)
+		mv := cross[2*e+1] // bits where V is the successor (U → V crossing)
+		if mu|mv == 0 {
 			if closing {
-				for k := lo; k < hi; k++ {
-					if int(targets[k]) > u {
-						e := edgeID[k]
-						acc[e] += part[e]
-						part[e] = 0
-					}
-				}
+				acc[e] += part[e]
+				part[e] = 0
 			}
 			continue
 		}
-		usig := sigma[u*W : u*W+W]
-		ucoe := coef[u*W : u*W+W]
-		for k := lo; k < hi; k++ {
-			v := targets[k]
-			if int(v) <= u {
-				// The edge is folded (and its masks cleared) at its
-				// smaller endpoint.
-				continue
-			}
-			m1 := slotMask[k]       // bits where u is the successor (v → u crossing)
-			m2 := slotMask[mate[k]] // bits where v is the successor (u → v crossing)
-			e := edgeID[k]
-			if m1|m2 == 0 {
-				if closing {
-					acc[e] += part[e]
-					part[e] = 0
+		u, v := int(edges[e].U), int(edges[e].V)
+		usig, ucoe := sigma[u*W:u*W+W], coef[u*W:u*W+W]
+		vsig, vcoe := sigma[v*W:v*W+W], coef[v*W:v*W+W]
+		p := 0.0
+		if cont {
+			p = part[e]
+		}
+		for i := range ranges {
+			ru, rv := mu&ranges[i].mask, mv&ranges[i].mask
+			un := ru | rv
+			// Locality-ordered batches mostly agree on an edge's direction
+			// (which endpoint is deeper), so the single-direction cases
+			// get branch-free loops. All three walk the same bits
+			// ascending and add the same per-bit term, so the sums are
+			// bit-identical.
+			switch {
+			case un == 0:
+			case rv == 0:
+				for un != 0 {
+					s := bits.TrailingZeros64(un)
+					un &= un - 1
+					p += vsig[s] * ucoe[s]
 				}
-				continue
-			}
-			vsig := sigma[int(v)*W : int(v)*W+W]
-			vcoe := coef[int(v)*W : int(v)*W+W]
-			p := 0.0
-			if cont {
-				p = part[e]
-			}
-			for i := range ranges {
-				r1, r2 := m1&ranges[i].mask, m2&ranges[i].mask
-				un := r1 | r2
-				// Locality-ordered batches mostly agree on an edge's
-				// direction (which endpoint is deeper), so the
-				// single-direction cases get branch-free loops. All three
-				// walk the same bits ascending and add the same per-bit
-				// term, so the sums are bit-identical.
-				switch {
-				case un == 0:
-				case r2 == 0:
-					for un != 0 {
-						s := bits.TrailingZeros64(un)
-						un &= un - 1
+			case ru == 0:
+				for un != 0 {
+					s := bits.TrailingZeros64(un)
+					un &= un - 1
+					p += usig[s] * vcoe[s]
+				}
+			default:
+				for un != 0 {
+					s := bits.TrailingZeros64(un)
+					un &= un - 1
+					if ru>>uint(s)&1 != 0 {
 						p += vsig[s] * ucoe[s]
-					}
-				case r1 == 0:
-					for un != 0 {
-						s := bits.TrailingZeros64(un)
-						un &= un - 1
+					} else {
 						p += usig[s] * vcoe[s]
 					}
-				default:
-					for un != 0 {
-						s := bits.TrailingZeros64(un)
-						un &= un - 1
-						if r1>>uint(s)&1 != 0 {
-							p += vsig[s] * ucoe[s]
-						} else {
-							p += usig[s] * vcoe[s]
-						}
-					}
-				}
-				// Adding +0.0 is a no-op on the non-negative accumulator,
-				// so a shard with no term here skips the merge.
-				if ranges[i].closes && p != 0 {
-					acc[e] += p
-					p = 0
 				}
 			}
-			if cont || open {
-				part[e] = p
+			// Adding +0.0 is a no-op on the non-negative accumulator, so
+			// a shard with no term here skips the merge.
+			if ranges[i].closes && p != 0 {
+				acc[e] += p
+				p = 0
 			}
-			folds += int64(bits.OnesCount64(m1 | m2))
-			slotMask[k] = 0
-			slotMask[mate[k]] = 0
 		}
+		if cont || open {
+			part[e] = p
+		}
+		folds += int64(bits.OnesCount64(mu | mv))
+		cross[2*e], cross[2*e+1] = 0, 0
 	}
 	return folds
 }

@@ -308,7 +308,7 @@ type oracleCase struct {
 
 // oracleCases are every property graph exact and sampled, plus one graph
 // whose scratch outgrows a 2 MiB huge page at Batch 64 (3,000 nodes: 3.1
-// MB of rows, 3.2 MB with the crossing mask) but not at Batch 1 or 8, so
+// MB of rows, 3.2 MB with the crossing record) but not at Batch 1 or 8, so
 // in builds that map scratch one input pins the mapped and the heap path
 // against the same oracle. It runs sampled only: exact, Batch 1 would run
 // 3,000 traversals per configuration.

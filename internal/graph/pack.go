@@ -124,9 +124,6 @@ func newPackLayout(n, m int, identity bool) packLayout {
 	return l
 }
 
-// payloadSize is the byte length of everything after the header.
-func (l packLayout) payloadSize() int64 { return l.total - packHeaderSize }
-
 // PackWriteOptions tunes WritePacked.
 type PackWriteOptions struct {
 	// Order selects the dense-id layout; the default OrderKeep preserves

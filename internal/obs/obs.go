@@ -45,7 +45,6 @@
 package obs
 
 import (
-	"sort"
 	"sync"
 	"time"
 )
@@ -181,20 +180,4 @@ func (r *Recorder) SpanTree() *SpanNode {
 		return nil
 	}
 	return r.root.node(r.start, time.Now())
-}
-
-// counterNames returns the registered counter names in sorted order; used
-// by tests and debug output that want stable iteration.
-func (r *Recorder) counterNames() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.counters))
-	for name := range r.counters {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -283,14 +283,3 @@ func TestSpanProgressAndETA(t *testing.T) {
 		t.Fatalf("ended span: ended=%v eta=%d, want true/0", n.Ended, n.EtaNs)
 	}
 }
-
-// TestCounterNamesSorted pins the stable debug iteration order.
-func TestCounterNamesSorted(t *testing.T) {
-	r := New("test")
-	r.Counter("zeta")
-	r.Counter("alpha")
-	got := r.counterNames()
-	if len(got) != 2 || got[0] != "alpha" || got[1] != "zeta" {
-		t.Fatalf("counterNames = %v", got)
-	}
-}
