@@ -15,7 +15,7 @@ import (
 // SNAP-style substrate DESIGN.md §1 promises for this package.
 //
 // Each undirected edge occupies two slots, one in each endpoint's range, so
-// len(Targets) == 2·NumEdges(). A "slot" is an index into Targets/EdgeID/Mate.
+// len(Targets) == 2·NumEdges(). A "slot" is an index into Targets and EdgeID.
 // Node u owns slots Offsets[u] to Offsets[u+1] (exclusive), and within that
 // range Targets is sorted ascending; Graph.Neighbors(u) is that range.
 //
@@ -35,10 +35,6 @@ type CSR struct {
 	// EdgeID are aligned with Graph.Edges() with no map lookup and no
 	// Canonical() call.
 	EdgeID []int32
-	// Mate[s] is the reverse slot of s: if slot s sits in u's range and
-	// targets w, then Mate[s] sits in w's range and targets u, with
-	// EdgeID[s] == EdgeID[Mate[s]] and Mate[Mate[s]] == s.
-	Mate []int32
 }
 
 // NumNodes returns the number of nodes in the underlying graph.
@@ -98,7 +94,7 @@ func (g *Graph) CSR() *CSR {
 
 // csrBounds reports whether a graph with n nodes and m edges fits the CSR's
 // int32 index space: node ids must fit NodeID, and the 2m half-edge slots
-// must be addressable by int32 (Offsets, EdgeID and Mate are all int32).
+// must be addressable by int32 (Offsets and EdgeID are int32).
 // Without this check a graph just over the limit would silently wrap slot
 // indices and corrupt the arrays; with it, oversized graphs fail loudly in
 // newGraph and in the packed writers that reuse the check (WritePacked, the
@@ -132,7 +128,6 @@ func newGraph(n int, edges []Edge, workers int) *Graph {
 			Offsets: make([]int32, n+1),
 			Targets: make([]NodeID, 2*m),
 			EdgeID:  make([]int32, 2*m),
-			Mate:    make([]int32, 2*m),
 		},
 		edges: edges,
 	}
@@ -160,7 +155,7 @@ func workersFor(workers, m int) int {
 // fillCSR is the fill step of every Graph (newGraph) and of the
 // out-of-core packer's second pass, which is why the two produce
 // byte-identical arrays. It overwrites all of c — Offsets (n+1 entries)
-// and Targets, EdgeID and Mate (2·len(edges) each) — from edges, a
+// and Targets and EdgeID (2·len(edges) each) — from edges, a
 // canonical edge list over n nodes, on up to workers workers (<= 0 selects
 // GOMAXPROCS; graphs under serialBelow edges use one).
 //
@@ -234,7 +229,7 @@ func fillCSR(c *CSR, edges []Edge, workers int) {
 	}
 	c.Offsets[n] = int32(2 * m)
 
-	// Pass 2: place every edge's two slots and link them as mates.
+	// Pass 2: place every edge's two slots.
 	par.Blocks(m, workers, func(w, lo, hi int) {
 		next := cur[w]
 		for i, e := range edges[lo:hi] {
@@ -245,8 +240,6 @@ func fillCSR(c *CSR, edges []Edge, workers int) {
 			c.Targets[sv] = e.U
 			c.EdgeID[su] = id
 			c.EdgeID[sv] = id
-			c.Mate[su] = sv
-			c.Mate[sv] = su
 		}
 	})
 }

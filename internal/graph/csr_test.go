@@ -36,12 +36,12 @@ func TestCSRMatchesAdjacency(t *testing.T) {
 	}
 }
 
-func TestCSREdgeIDsAndMates(t *testing.T) {
+func TestCSREdgeIDs(t *testing.T) {
 	g := microTestGraph(t, 150, 600)
 	c := g.CSR()
 	edges := g.Edges()
-	// Each edge id must appear on exactly two slots, mates of each other,
-	// with endpoints matching the canonical edge.
+	// Each edge id must appear on exactly two slots, one in each endpoint's
+	// range, with endpoints matching the canonical edge.
 	count := make([]int, g.NumEdges())
 	for u := 0; u < g.NumNodes(); u++ {
 		for s := c.Offsets[u]; s < c.Offsets[u+1]; s++ {
@@ -51,16 +51,6 @@ func TestCSREdgeIDsAndMates(t *testing.T) {
 			e := edges[id]
 			if (Edge{NodeID(u), w}).Canonical() != e {
 				t.Fatalf("slot %d: endpoints (%d,%d) do not match edge %v (id %d)", s, u, w, e, id)
-			}
-			m := c.Mate[s]
-			if c.Mate[m] != s {
-				t.Fatalf("slot %d: Mate not involutive (mate %d, its mate %d)", s, m, c.Mate[m])
-			}
-			if c.Targets[m] != NodeID(u) {
-				t.Fatalf("slot %d: mate targets %d, want %d", s, c.Targets[m], u)
-			}
-			if c.EdgeID[m] != id {
-				t.Fatalf("slot %d: mate edge id %d, want %d", s, c.EdgeID[m], id)
 			}
 		}
 	}
@@ -166,7 +156,7 @@ func microTestGraph(t *testing.T, n, m int) *Graph {
 // order at each endpoint's next free slot.
 func serialFill(n int, edges []Edge) CSR {
 	m := len(edges)
-	c := CSR{Offsets: make([]int32, n+1), Targets: make([]NodeID, 2*m), EdgeID: make([]int32, 2*m), Mate: make([]int32, 2*m)}
+	c := CSR{Offsets: make([]int32, n+1), Targets: make([]NodeID, 2*m), EdgeID: make([]int32, 2*m)}
 	for _, e := range edges {
 		c.Offsets[e.U+1]++
 		c.Offsets[e.V+1]++
@@ -181,7 +171,6 @@ func serialFill(n int, edges []Edge) CSR {
 		cur[e.V]++
 		c.Targets[su], c.Targets[sv] = e.V, e.U
 		c.EdgeID[su], c.EdgeID[sv] = int32(i), int32(i)
-		c.Mate[su], c.Mate[sv] = sv, su
 	}
 	return c
 }
@@ -216,8 +205,8 @@ func TestFillCSRMatchesSerialFill(t *testing.T) {
 		want := serialFill(n, edges)
 		for _, workers := range []int{1, 2, 3, 8} {
 			m := len(edges)
-			got := CSR{Offsets: make([]int32, n+1), Targets: make([]NodeID, 2*m), EdgeID: make([]int32, 2*m), Mate: make([]int32, 2*m)}
-			for _, a := range [][]int32{got.Offsets, got.Targets, got.EdgeID, got.Mate} {
+			got := CSR{Offsets: make([]int32, n+1), Targets: make([]NodeID, 2*m), EdgeID: make([]int32, 2*m)}
+			for _, a := range [][]int32{got.Offsets, got.Targets, got.EdgeID} {
 				for i := range a {
 					a[i] = -7
 				}
@@ -227,7 +216,6 @@ func TestFillCSRMatchesSerialFill(t *testing.T) {
 				"Offsets": {got.Offsets, want.Offsets},
 				"Targets": {got.Targets, want.Targets},
 				"EdgeID":  {got.EdgeID, want.EdgeID},
-				"Mate":    {got.Mate, want.Mate},
 			} {
 				if !slices.Equal(pair[0], pair[1]) {
 					i := 0

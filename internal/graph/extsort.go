@@ -21,7 +21,7 @@ import (
 // merges the spill runs and the in-memory tail run to count the distinct
 // edges, which sizes the output file; pass 2 merges them again into the
 // Edges section of a read-write mapping of that file, and fillCSR builds
-// Offsets, Targets, EdgeID and Mate from that section in place. When
+// Offsets, Targets and EdgeID from that section in place. When
 // nothing spilled, the tail run is the edge list: pass 1 is its length and
 // pass 2 a copy. Peak memory is the key buffer and its sort scratch (both
 // within MemBudget) plus fillCSR's O(workers·|V|) counters, never the
@@ -75,7 +75,7 @@ type PackStats struct {
 // larger than RAM can be packed. The output is byte-identical to loading
 // the list in RAM and calling WritePackedFile with OrderKeep; degree
 // relabeling needs the whole graph, so only that in-RAM path offers it.
-func PackEdgeListFile(inPath, outPath string, opt PackOptions) (*PackStats, error) {
+func PackEdgeListFile(inPath, outPath string, opt PackOptions) (_ *PackStats, err error) {
 	if !hostLittleEndian {
 		return nil, fmt.Errorf("graph: external-sort packing writes through a little-endian mapping and is unsupported on big-endian hosts; use the in-RAM packer")
 	}
@@ -149,17 +149,22 @@ func PackEdgeListFile(inPath, outPath string, opt PackOptions) (*PackStats, erro
 	}
 	stats.Edges = m
 
-	// Lay out and create the output file, then fill it through a shared
+	// Lay out the output file, allocate it, and fill it through a shared
 	// read-write mapping: pass 2's stores land directly in the page cache
-	// and the kernel writes them back.
+	// and the kernel writes them back. A failed pack removes the file.
 	identity := identityLabels(rm, n)
 	l := newPackLayout(n, m, identity)
 	out, err := os.Create(outPath)
 	if err != nil {
 		return nil, err
 	}
-	defer out.Close()
-	if err := out.Truncate(l.total); err != nil {
+	defer func() {
+		out.Close()
+		if err != nil {
+			os.Remove(outPath)
+		}
+	}()
+	if err := allocateFile(out, l.total); err != nil {
 		return nil, err
 	}
 	data, release, err := mapFile(out, l.total, true)
@@ -189,7 +194,6 @@ func PackEdgeListFile(inPath, outPath string, opt PackOptions) (*PackStats, erro
 		Offsets: viewInt32s(data, l.offsetsOff, n+1),
 		Targets: viewInt32s(data, l.targetsOff, 2*m),
 		EdgeID:  viewInt32s(data, l.edgeIDOff, 2*m),
-		Mate:    viewInt32s(data, l.mateOff, 2*m),
 	}
 	edges := viewEdges(data, l.edgesOff, m)
 

@@ -336,3 +336,41 @@ func TestExternalSortPackSpillFailure(t *testing.T) {
 		}
 	}
 }
+
+// TestExternalSortPackOutputNoSpace injects ENOSPC where the packer sizes
+// its output file through the allocateFile seam, after spill runs exist:
+// the packer must return that error, leave no output file and leave
+// nothing in its temp dir.
+func TestExternalSortPackOutputNoSpace(t *testing.T) {
+	text := testEdgeListText(400, 5000, 21)
+	dir := t.TempDir()
+	inPath := filepath.Join(dir, "g.txt")
+	if err := os.WriteFile(inPath, []byte(text), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	orig := allocateFile
+	t.Cleanup(func() { allocateFile = orig })
+	calls := 0
+	allocateFile = func(f *os.File, size int64) error {
+		calls++
+		return &os.PathError{Op: "fallocate", Path: f.Name(), Err: syscall.ENOSPC}
+	}
+	tmp := filepath.Join(dir, "tmp")
+	if err := os.Mkdir(tmp, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	outPath := filepath.Join(dir, "out.esc")
+	_, err := PackEdgeListFile(inPath, outPath, PackOptions{MemBudget: 512 * 16, TmpDir: tmp})
+	if !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("PackEdgeListFile = %v, want ENOSPC", err)
+	}
+	if calls != 1 {
+		t.Fatalf("allocateFile called %d times, want 1", calls)
+	}
+	if left, err := os.ReadDir(tmp); err != nil || len(left) != 0 {
+		t.Fatalf("temp dir holds %v (%v) after the failed pack", left, err)
+	}
+	if _, err := os.Stat(outPath); !os.IsNotExist(err) {
+		t.Fatalf("output exists after the failed pack: %v", err)
+	}
+}

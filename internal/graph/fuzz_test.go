@@ -98,7 +98,9 @@ func labelledEdges(g *Graph, rm *Remapper) [][2]int64 {
 // FuzzOpenPacked asserts that the ESC1 loader never panics and that no
 // file it accepts can fault a kernel walking the graph. The checksum is
 // recomputed after mutation, so mutated payloads reach the structural sweep
-// instead of being stopped by the CRC.
+// instead of being stopped by the CRC. A file that also passes Verify must
+// hold exactly the Offsets, Targets and EdgeID that newGraph builds from
+// its edge list: Verify's checks fix the whole CSR.
 func FuzzOpenPacked(f *testing.F) {
 	packed := func(g *Graph, rm *Remapper) []byte {
 		var buf bytes.Buffer
@@ -115,6 +117,13 @@ func FuzzOpenPacked(f *testing.F) {
 	f.Add(packed(MustFromEdges(5, []Edge{{U: 0, V: 4}, {U: 1, V: 4}, {U: 2, V: 3}}), nil))
 	f.Add(packed(labelled, rm))
 	f.Add(packed(MustFromEdges(0, nil), nil))
+	// Node 1's two slots with their edge ids swapped: in bounds, so it
+	// loads, and only the slot/edge-id cross-check refuses it.
+	swapped := packed(MustFromEdges(3, []Edge{{U: 0, V: 1}, {U: 1, V: 2}}), nil)
+	l := newPackLayout(3, 2, true)
+	ids := swapped[l.edgeIDOff+4:]
+	ids[0], ids[4] = ids[4], ids[0]
+	f.Add(swapped)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		data = append([]byte(nil), data...)
 		if len(data) >= packHeaderSize {
@@ -132,12 +141,24 @@ func FuzzOpenPacked(f *testing.F) {
 			}
 		}
 		for s := range c.Targets {
-			id, mate := c.EdgeID[s], c.Mate[s]
-			_, _ = edges[id], c.Targets[mate]
+			_ = edges[c.EdgeID[s]]
 			_ = g.Degree(c.Targets[s])
 		}
 		for u := 0; u < p.Remapper().Len(); u++ {
 			_ = p.Remapper().Label(NodeID(u))
+		}
+		if p.Verify() != nil {
+			return
+		}
+		want := newGraph(g.NumNodes(), slices.Clone(edges), 1).CSR()
+		for name, pair := range map[string][2][]int32{
+			"Offsets": {c.Offsets, want.Offsets},
+			"Targets": {c.Targets, want.Targets},
+			"EdgeID":  {c.EdgeID, want.EdgeID},
+		} {
+			if !slices.Equal(pair[0], pair[1]) {
+				t.Fatalf("Verify accepted a file whose %s differs from newGraph's", name)
+			}
 		}
 	})
 }

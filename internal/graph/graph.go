@@ -241,12 +241,12 @@ func (g *Graph) String() string {
 }
 
 // Bytes is the resident size of the graph's arrays: the CSR's offsets (4
-// bytes per node), its three per-slot arrays (24 bytes per edge), the
+// bytes per node), its two per-slot arrays (16 bytes per edge), the
 // canonical edge list (8 bytes per edge) and the Graph header. It quantifies
 // the storage saving of a reduction — the paper's first motivation —
 // without depending on the runtime's allocator.
 func (g *Graph) Bytes() int64 {
 	c := g.CSR()
-	slots := len(c.Targets) + len(c.EdgeID) + len(c.Mate)
+	slots := len(c.Targets) + len(c.EdgeID)
 	return int64(unsafe.Sizeof(*g)) + 4*int64(len(c.Offsets)+slots) + int64(unsafe.Sizeof(Edge{}))*int64(len(g.edges))
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // Loading an ESC1 file is one mmap plus pointer fixups: every array of the
-// Graph — Offsets, Targets, EdgeID, Mate and the canonical []Edge list — is
+// Graph — Offsets, Targets, EdgeID and the canonical []Edge list — is
 // a slice header pointed into the page-aligned mapping, so a billion-edge
 // graph "loads" without per-node or per-edge work and pages in lazily as
 // kernels touch it. The only full passes over the data are the CRC-32C
@@ -77,8 +77,8 @@ func (p *PackedGraph) Close() error {
 // every index and the canonical edge list are verified, so a truncated,
 // bit-rotted or index-corrupt file never becomes a Graph and no kernel can
 // fault on one that does. Whether the adjacency agrees with the edge list
-// is not checked here (it costs several times the open); call Verify for
-// that.
+// is not checked here (it costs about as much as the open again); call
+// Verify for that.
 func OpenPacked(path string) (*PackedGraph, error) {
 	return openPackedObs(path, nil)
 }
@@ -127,7 +127,6 @@ func loadPacked(data []byte, size int64) (*PackedGraph, error) {
 			Offsets: viewInt32s(data, l.offsetsOff, n+1),
 			Targets: viewInt32s(data, l.targetsOff, 2*m),
 			EdgeID:  viewInt32s(data, l.edgeIDOff, 2*m),
-			Mate:    viewInt32s(data, l.mateOff, 2*m),
 		},
 		edges: viewEdges(data, l.edgesOff, m),
 	}

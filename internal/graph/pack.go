@@ -14,11 +14,11 @@ import (
 // memory, so loading is one mmap plus slice-header fixups with zero
 // per-edge parsing (see mmap.go): a .esc file *is* the graph.
 //
-// Layout of format version 2, all little-endian:
+// Layout of format version 3, all little-endian:
 //
 //	header (64 bytes)
 //	  [0:4)   magic "ESC1"
-//	  [4:8)   uint32 format version (currently 2)
+//	  [4:8)   uint32 format version (currently 3)
 //	  [8:16)  uint64 flags (packFlagDegreeOrdered, packFlagIdentityLabels)
 //	  [16:24) uint64 |V|
 //	  [24:32) uint64 |E|
@@ -31,26 +31,28 @@ import (
 //	  Offsets (|V|+1) × int32
 //	  Targets 2|E| × int32
 //	  EdgeID  2|E| × int32
-//	  Mate    2|E| × int32
 //	  Edges   |E| × (int32 U, int32 V)  the canonical edge list, interleaved
 //	                                    so it aliases directly as []Edge
 //
-// A file is 64 + 8|V| (without the identity flag) + 4(|V|+1) + 32|E|
-// bytes. Version 1 also stored every endpoint a second time, as split
-// EdgeU/EdgeV sections; it is rejected by the version check.
+// A file is 64 + 8|V| (without the identity flag) + 4(|V|+1) + 24|E|
+// bytes. Version 2 also stored a Mate section, each slot's reverse slot
+// (8 bytes per edge), which Offsets, Targets and EdgeID already fix;
+// version 1 also stored every endpoint a second time, as split EdgeU/EdgeV
+// sections. The version check rejects both; repack the edge list with
+// gpack.
 //
 // What loading proves is the payload checksum, the bounds of every index
 // and the canonical edge list (checkIndexes): a truncated, bit-rotted or
 // index-corrupt file never becomes a Graph, and no kernel can fault on one
 // that does. Loading does not prove that the adjacency and the edge list
 // agree — that is checkAgreement, behind Graph.Validate, PackedGraph.Verify
-// and gpack -verify — because it costs several times the whole open.
+// and gpack -verify — because it costs about as much as the open again.
 
 // packMagic identifies an ESC1 packed-CSR file.
 var packMagic = [4]byte{'E', 'S', 'C', '1'}
 
 // packVersion is the current ESC1 format version.
-const packVersion = 2
+const packVersion = 3
 
 // packHeaderSize is the fixed byte size of the ESC1 header.
 const packHeaderSize = 64
@@ -91,20 +93,17 @@ const (
 // with n nodes and m edges. Offsets are relative to the start of the file;
 // the payload begins at packHeaderSize.
 type packLayout struct {
-	n, m       int
-	identity   bool
 	labelsOff  int64
 	offsetsOff int64
 	targetsOff int64
 	edgeIDOff  int64
-	mateOff    int64
 	edgesOff   int64
 	total      int64 // total file size
 }
 
 // newPackLayout lays out a file for n nodes and m edges.
 func newPackLayout(n, m int, identity bool) packLayout {
-	l := packLayout{n: n, m: m, identity: identity}
+	var l packLayout
 	off := int64(packHeaderSize)
 	l.labelsOff = off
 	if !identity {
@@ -115,8 +114,6 @@ func newPackLayout(n, m int, identity bool) packLayout {
 	l.targetsOff = off
 	off += int64(2*m) * 4
 	l.edgeIDOff = off
-	off += int64(2*m) * 4
-	l.mateOff = off
 	off += int64(2*m) * 4
 	l.edgesOff = off
 	off += int64(m) * 8
@@ -178,7 +175,6 @@ func WritePacked(w io.Writer, g *Graph, rm *Remapper, opt PackWriteOptions) erro
 		enc.int32s(c.Offsets)
 		enc.int32s(c.Targets)
 		enc.int32s(c.EdgeID)
-		enc.int32s(c.Mate)
 		enc.edges(g.Edges())
 	}
 
@@ -364,7 +360,7 @@ func parsePackHeader(data []byte, size int64) (packHeader, packLayout, error) {
 		return h, packLayout{}, fmt.Errorf("graph: bad packed magic %q, want %q", data[0:4], packMagic)
 	}
 	if v := binary.LittleEndian.Uint32(data[4:8]); v != packVersion {
-		return h, packLayout{}, fmt.Errorf("graph: unsupported packed format version %d (want %d)", v, packVersion)
+		return h, packLayout{}, fmt.Errorf("graph: unsupported packed format version %d (want %d); repack the edge list with gpack", v, packVersion)
 	}
 	h.flags = binary.LittleEndian.Uint64(data[8:16])
 	un := binary.LittleEndian.Uint64(data[16:24])

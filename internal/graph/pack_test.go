@@ -65,7 +65,6 @@ func requireSameGraph(t *testing.T, got, want *Graph, gotRM, wantRM *Remapper) {
 		"Offsets": {gc.Offsets, wc.Offsets},
 		"Targets": {gc.Targets, wc.Targets},
 		"EdgeID":  {gc.EdgeID, wc.EdgeID},
-		"Mate":    {gc.Mate, wc.Mate},
 	} {
 		if len(pair[0]) != len(pair[1]) {
 			t.Fatalf("CSR %s length: got %d, want %d", name, len(pair[0]), len(pair[1]))
@@ -263,7 +262,16 @@ func TestPackedCorruption(t *testing.T) {
 		rewritePacked(t, path, func(data []byte) {
 			binary.LittleEndian.PutUint32(data[4:8], 1)
 		})
-		mustFail(t, path, "unsupported packed format version 1")
+		mustFail(t, path, "unsupported packed format version 1 (want 3); repack the edge list with gpack")
+	})
+	t.Run("version-2", func(t *testing.T) {
+		// Version 2 stored each slot's reverse slot as a Mate section;
+		// there is no reader for it either.
+		path := pack(t)
+		rewritePacked(t, path, func(data []byte) {
+			binary.LittleEndian.PutUint32(data[4:8], 2)
+		})
+		mustFail(t, path, "unsupported packed format version 2 (want 3); repack the edge list with gpack")
 	})
 	t.Run("checksum-mismatch", func(t *testing.T) {
 		path := pack(t)
@@ -308,23 +316,31 @@ func TestPackedCorruption(t *testing.T) {
 		})
 		mustFail(t, path, "")
 	})
-	t.Run("broken-mate-involution", func(t *testing.T) {
-		// An in-bounds but wrong mate pointer passes the load-time bounds
-		// sweep (by design — the deep cross-checks are Verify's job) and is
-		// caught by PackedGraph.Verify.
+	t.Run("broken-edge-id", func(t *testing.T) {
+		// Two swapped EdgeID entries stay in bounds, so the load-time
+		// sweep passes them (by design — the deep cross-check is Verify's
+		// job), and each slot then names an edge it does not belong to,
+		// which PackedGraph.Verify catches.
 		path := pack(t)
 		l := newPackLayout(g.NumNodes(), g.NumEdges(), false)
 		rewritePacked(t, path, func(data []byte) {
-			mate0 := binary.LittleEndian.Uint32(data[l.mateOff:])
-			binary.LittleEndian.PutUint32(data[l.mateOff:], (mate0+1)%uint32(2*g.NumEdges()))
+			a := data[l.edgeIDOff : l.edgeIDOff+4]
+			b := data[l.edgeIDOff+4 : l.edgeIDOff+8]
+			if [4]byte(a) == [4]byte(b) {
+				t.Fatal("slots 0 and 1 share an edge id; swapping them corrupts nothing")
+			}
+			var tmp [4]byte
+			copy(tmp[:], a)
+			copy(a, b)
+			copy(b, tmp[:])
 		})
 		p, err := OpenPacked(path)
 		if err != nil {
-			t.Fatalf("bounds-clean mate corruption rejected at load: %v", err)
+			t.Fatalf("bounds-clean edge id corruption rejected at load: %v", err)
 		}
 		defer p.Close()
 		if err := p.Verify(); err == nil {
-			t.Fatal("Verify accepted a broken mate involution")
+			t.Fatal("Verify accepted two swapped edge ids")
 		}
 	})
 	t.Run("verify-clean", func(t *testing.T) {

@@ -15,13 +15,14 @@ import (
 //   - every edge is canonical (U < V) and in range, and the edge list is
 //     strictly sorted (hence duplicate-free and loop-free);
 //   - the CSR arrays are well formed: monotone offsets covering 2|E| slots,
-//     strictly ascending in-range targets per node, in-range edge ids and
-//     mates (checkIndexes, which every packed load also runs);
+//     strictly ascending in-range targets per node, and in-range edge ids
+//     (checkIndexes, which every packed load also runs);
 //   - the adjacency is the one the edge list describes: every slot's edge
-//     id names the edge between its node and its target, and Mate pairs the
-//     two slots of every edge (checkAgreement). Targets strictly ascend, so
-//     a node has at most one slot per edge and 2|E| slots cover each edge
-//     exactly twice: adjacency and edge list hold the same incidences.
+//     id names the edge between its node and its target (checkAgreement).
+//     Targets strictly ascend, so a node has at most one slot per edge, and
+//     2|E| slots then cover each edge exactly once at each endpoint: the
+//     edge list fixes Offsets, Targets and EdgeID, and adjacency and edge
+//     list hold the same incidences.
 func (g *Graph) Validate() error {
 	c := g.CSR()
 	if err := checkIndexes(c, g.edges); err != nil {
@@ -33,15 +34,15 @@ func (g *Graph) Validate() error {
 // checkIndexes checks the invariants that no kernel may run without, and
 // that loading a packed file therefore proves: monotone offsets covering
 // exactly 2m slots, per-node target lists strictly ascending and in range,
-// a strictly ascending canonical edge list, and every EdgeID/Mate entry
-// inside its array's bounds so no kernel indexing through them can fault.
+// a strictly ascending canonical edge list, and every EdgeID entry inside
+// the edge list's bounds so no kernel indexing through it can fault.
 // Everything is a sequential O(|V|+|E|) sweep, sharded across GOMAXPROCS
 // workers (the sweeps are read-only and blocks are contiguous, so
 // cross-block lookbacks like edges[i-1] stay valid).
 func checkIndexes(c *CSR, edges []Edge) error {
 	n, m := c.NumNodes(), len(edges)
-	if len(c.Targets) != 2*m || len(c.EdgeID) != 2*m || len(c.Mate) != 2*m {
-		return fmt.Errorf("graph: CSR slot arrays hold %d/%d/%d entries, want %d", len(c.Targets), len(c.EdgeID), len(c.Mate), 2*m)
+	if len(c.Targets) != 2*m || len(c.EdgeID) != 2*m {
+		return fmt.Errorf("graph: CSR slot arrays hold %d/%d entries, want %d", len(c.Targets), len(c.EdgeID), 2*m)
 	}
 	if c.Offsets[0] != 0 {
 		return fmt.Errorf("graph: offsets start at %d, want 0", c.Offsets[0])
@@ -105,22 +106,16 @@ func checkIndexes(c *CSR, edges []Edge) error {
 					errs[w] = fmt.Errorf("graph: edge id %d at slot %d out of range [0,%d)", id, s, m)
 					return
 				}
-				if mate := c.Mate[s]; mate < 0 || int(mate) >= 2*m {
-					errs[w] = fmt.Errorf("graph: mate %d at slot %d out of range [0,%d)", mate, s, 2*m)
-					return
-				}
 			}
 		}
 	})
 	return firstErr(errs)
 }
 
-// checkAgreement runs the cross-checks checkIndexes skips, on arrays it has
-// passed: every slot's edge id resolves to the canonical edge it targets,
-// and the mate pointer is a true involution landing in the target node's
-// range with matching edge id. These are random-access sweeps — several
-// times the cost of a whole packed load — so loading does not run them;
-// Validate does.
+// checkAgreement runs the cross-check checkIndexes skips, on arrays it has
+// passed: every slot's edge id resolves to the canonical edge it targets.
+// It is a random-access sweep that costs about as much as a whole packed
+// load again, so loading does not run it; Validate does.
 func checkAgreement(c *CSR, edges []Edge) error {
 	n, m := c.NumNodes(), len(edges)
 	workers := par.Workers(0, n+m)
@@ -134,15 +129,6 @@ func checkAgreement(c *CSR, edges []Edge) error {
 				id := c.EdgeID[s]
 				if e := (Edge{u, v}.Canonical()); edges[id] != e {
 					errs[w] = fmt.Errorf("graph: slot %d claims edge id %d = %v, but targets %v", s, id, edges[id], e)
-					return
-				}
-				mate := c.Mate[s]
-				if mate < c.Offsets[v] || mate >= c.Offsets[v+1] {
-					errs[w] = fmt.Errorf("graph: mate %d of slot %d outside node %d's range", mate, s, v)
-					return
-				}
-				if c.Targets[mate] != u || c.Mate[mate] != s || c.EdgeID[mate] != id {
-					errs[w] = fmt.Errorf("graph: mate involution broken at slot %d", s)
 					return
 				}
 			}
